@@ -35,23 +35,14 @@ _PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 #: bit-identity flag, transport byte counts).
 #: v3 added ``trace_overhead`` (disabled/enabled tracing cost).
 #: v4 added ``segment_overhead`` (armed-but-idle segmentation cost).
-#: v5 added ``lane_sweep`` (lane backend vs chunked pool throughput)
-#: and the ``lanes`` mode inside ``grid_sweep``.
+#: v5 added a lane-backend benchmark and a lane mode in ``grid_sweep``.
 #: v6 added ``service_sweep`` (two overlapping grids through the
 #: experiment service vs back-to-back local runs; dedupe ratio gated).
 #: v7 added ``streaming_overhead`` (live streaming detection subscribed
 #: to the trace feed vs traced-only and untraced runs; the path with
 #: the feature absent is gated like disabled tracing).
-SCHEMA = 7
-
-#: Minimum lane-backend speedup over the chunked pool mode on the
-#: ``lane_sweep`` grid.  An absolute floor, not baseline-relative: if
-#: the lane backend ever fails to beat the mode it exists to replace
-#: by at least this margin, it has regressed into dead weight.  Set
-#: from measurement: serial lanes sustain ~2x chunked on a single-CPU
-#: host (where the pool is pure overhead) and lanes+pool compose on
-#: multicore hosts, so 1.2x holds comfortably on both.
-LANE_MIN_SPEEDUP = 1.2
+#: v8 removed the v5 additions together with the lane backend.
+SCHEMA = 8
 
 #: Minimum fleet-wide dedupe ratio (points submitted / points actually
 #: executed) on the ``service_sweep`` workload.  The two grids overlap
@@ -474,11 +465,11 @@ def _run_grid_mode(
 
 
 def grid_sweep(
-    jobs: int = 4, points: int = 64, bits: int = 24, lanes: int = 8
+    jobs: int = 4, points: int = 64, bits: int = 24
 ) -> dict[str, Any]:
     """Grid throughput (points/second) across the execution modes.
 
-    Runs the same fig8-shaped grid five ways and reports each mode's
+    Runs the same fig8-shaped grid four ways and reports each mode's
     points/s plus its speedup over ``reference``:
 
     * ``reference`` — serial with the calibration memo and warm machine
@@ -487,13 +478,10 @@ def grid_sweep(
       (``chunk_size=1``), warm workers + memo active;
     * ``chunked`` — the pool with auto-sized seed-grouped chunks, the
       full optimized configuration;
-    * ``serial`` — in-process with memo + warm pool active;
-    * ``lanes`` — in-process with the lane backend driving every
-      eligible point (PR 8; see ``lane_sweep`` for the dedicated
-      lane-vs-chunked comparison).
+    * ``serial`` — in-process with memo + warm pool active.
 
     The warm state is cleared before every mode, so each pays its own
-    first-calibration cost.  ``bit_identical`` asserts that all five
+    first-calibration cost.  ``bit_identical`` asserts that all four
     modes produced byte-equal results (sent/received bits, the full
     latency trace, cycle counts) — speed with different answers is a
     regression, and the gate treats it as one.  Speedups are
@@ -521,14 +509,11 @@ def grid_sweep(
                                             {"jobs": jobs, "chunk_size": 1})
     chunk_values, chunk_wall = _run_grid_mode(spec, {"jobs": jobs})
     serial_values, serial_wall = _run_grid_mode(spec, {"jobs": 1})
-    lane_values, lane_wall = _run_grid_mode(spec,
-                                            {"jobs": 1, "lanes": lanes})
 
     reference = _values_digest(ref_values)
     bit_identical = all(
         _values_digest(values) == reference
-        for values in (jobs_values, chunk_values, serial_values,
-                       lane_values)
+        for values in (jobs_values, chunk_values, serial_values)
     )
 
     n = len(spec.points)
@@ -538,7 +523,6 @@ def grid_sweep(
         ("serial", serial_wall),
         ("jobs", jobs_wall),
         ("chunked", chunk_wall),
-        ("lanes", lane_wall),
     ):
         entry = {"wall_s": wall, "points_per_sec": n / wall}
         if name != "reference":
@@ -566,67 +550,6 @@ def grid_sweep(
         "cache_bytes": cache_bytes,
         "cache_bytes_legacy": legacy_bytes,
         "cache_reduction": 1.0 - cache_bytes / legacy_bytes,
-    }
-
-
-def lane_sweep(
-    jobs: int = 4, points: int = 64, bits: int = 24, width: int = 8
-) -> dict[str, Any]:
-    """Lane-backend throughput vs the chunked pool on the fig8 grid.
-
-    The dedicated PR 8 benchmark: the same fig8-shaped grid that
-    ``grid_sweep`` uses, run three ways —
-
-    * ``chunked`` — the PR 4 configuration this backend is measured
-      against: the process pool with auto-sized seed-grouped chunks;
-    * ``lanes`` — in-process serial with lane batches of *width*
-      compatible points;
-    * ``lanes_pool`` — lane batches dispatched across the process
-      pool (the composition multicore hosts run).
-
-    ``bit_identical`` asserts all three modes produce byte-equal
-    results over the complete latency traces.  ``speedup_vs_chunked``
-    is the best lane mode's points/s over chunked's, self-relative on
-    the same host so the number is portable; :func:`check_regression`
-    gates it against :data:`LANE_MIN_SPEEDUP` and against the pinned
-    baseline.
-    """
-    spec = _grid_spec(points, bits)
-
-    chunk_values, chunk_wall = _run_grid_mode(spec, {"jobs": jobs})
-    lane_values, lane_wall = _run_grid_mode(spec,
-                                            {"jobs": 1, "lanes": width})
-    pool_values, pool_wall = _run_grid_mode(spec,
-                                            {"jobs": jobs, "lanes": width})
-
-    reference = _values_digest(chunk_values)
-    bit_identical = all(
-        _values_digest(values) == reference
-        for values in (lane_values, pool_values)
-    )
-
-    n = len(spec.points)
-    modes: dict[str, dict[str, float]] = {}
-    for name, wall in (
-        ("chunked", chunk_wall),
-        ("lanes", lane_wall),
-        ("lanes_pool", pool_wall),
-    ):
-        entry = {"wall_s": wall, "points_per_sec": n / wall}
-        if name != "chunked":
-            entry["speedup_vs_chunked"] = chunk_wall / wall
-        modes[name] = entry
-    return {
-        "points": n,
-        "bits": bits,
-        "jobs": jobs,
-        "width": width,
-        "bit_identical": bit_identical,
-        "modes": modes,
-        "speedup_vs_chunked": max(
-            info["speedup_vs_chunked"] for name, info in modes.items()
-            if name != "chunked"
-        ),
     }
 
 
@@ -739,7 +662,6 @@ def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
             "fig8_point": fig8_point(repeats=repeats, bits=fig8_bits),
             "noise_point": noise_point(repeats=repeats, bits=noise_bits),
             "grid_sweep": grid_sweep(points=grid_points, bits=grid_bits),
-            "lane_sweep": lane_sweep(points=grid_points, bits=grid_bits),
             "service_sweep": service_sweep(
                 points=grid_points, bits=grid_bits
             ),
@@ -780,7 +702,7 @@ def check_regression(
 ) -> list[str]:
     """Compare two reports; return a list of human-readable failures.
 
-    Four quantities gate:
+    These quantities gate:
 
     * engine events/second — the current run must reach at least
       ``(1 - max_regression)`` of the baseline's throughput;
@@ -801,12 +723,6 @@ def check_regression(
       carries a ``grid_sweep``, the current best self-relative speedup
       must stay within ``max_regression`` of the baseline's.  Speedups
       rather than raw walls gate because they are host-portable;
-    * lane backend — ``lane_sweep`` must report ``bit_identical``
-      (the lane backend's whole contract is byte-equal results), its
-      ``speedup_vs_chunked`` must reach the absolute
-      :data:`LANE_MIN_SPEEDUP` floor, and when the baseline carries a
-      ``lane_sweep`` the speedup must also stay within
-      ``max_regression`` of the baseline's;
     * experiment service — ``service_sweep`` must report
       ``bit_identical`` (blobs served over HTTP must decode to exactly
       the local values) and a ``dedupe_ratio`` of at least
@@ -873,30 +789,6 @@ def check_regression(
                     f"{grid.get('best_speedup', 0.0):.2f}x < "
                     f"{speedup_floor:.2f}x (baseline {base_speedup:.2f}x "
                     f"- {max_regression:.0%})"
-                )
-    lane = current["benchmarks"].get("lane_sweep")
-    if lane is not None:
-        if not lane.get("bit_identical", False):
-            problems.append(
-                "lane_sweep: lane modes are not bit-identical to the "
-                "chunked reference results"
-            )
-        lane_speedup = lane.get("speedup_vs_chunked", 0.0)
-        if lane_speedup < LANE_MIN_SPEEDUP:
-            problems.append(
-                f"lane_sweep: lane backend only reaches "
-                f"{lane_speedup:.2f}x vs chunked < the "
-                f"{LANE_MIN_SPEEDUP:.2f}x floor"
-            )
-        base_lane = baseline["benchmarks"].get("lane_sweep")
-        if base_lane is not None:
-            base_speedup = base_lane.get("speedup_vs_chunked", 0.0)
-            lane_floor = base_speedup * (1.0 - max_regression)
-            if lane_speedup < lane_floor:
-                problems.append(
-                    f"lane_sweep regressed: {lane_speedup:.2f}x vs "
-                    f"chunked < {lane_floor:.2f}x (baseline "
-                    f"{base_speedup:.2f}x - {max_regression:.0%})"
                 )
     service = current["benchmarks"].get("service_sweep")
     if service is not None:

@@ -41,7 +41,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigError
 
 #: The synthetic point ``fn`` segment entries are stored under.  It
 #: resolves (to :func:`segment` below) so cache tooling that walks
@@ -58,14 +58,27 @@ def segment(**params) -> None:
     )
 
 
+def _env_number(name: str, parse: type) -> Any:
+    """*name* parsed by *parse*, or None when unset or empty.
+
+    A value that does not parse raises :class:`ConfigError` rather than
+    silently reading as "off".
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return None
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{name}={raw!r} is not a valid {parse.__name__}"
+        ) from None
+
+
 def segment_cycles() -> float:
     """The configured segment length in cycles (0.0 = disabled)."""
-    raw = os.environ.get("REPRO_SEGMENT_CYCLES", "")
-    try:
-        value = float(raw) if raw else 0.0
-    except ValueError:
-        return 0.0
-    return value if value > 0 else 0.0
+    value = _env_number("REPRO_SEGMENT_CYCLES", float)
+    return value if value is not None and value > 0 else 0.0
 
 
 def segments_enabled() -> bool:
@@ -162,12 +175,8 @@ def _count_store_and_maybe_kill() -> None:
     if _kill_after is not None:
         threshold, count = _kill_after, _stored_since_arm
     else:
-        raw = os.environ.get("REPRO_KILL_AT_SEGMENT", "")
-        if raw:
-            try:
-                threshold, count = int(raw), _total_stored
-            except ValueError:
-                threshold = None
+        threshold = _env_number("REPRO_KILL_AT_SEGMENT", int)
+        count = _total_stored
     if threshold is not None and count >= threshold:
         # A hard, unannounced death — the exact failure mode (OOM kill,
         # preempted spot instance) segmented runs exist to survive.

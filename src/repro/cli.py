@@ -181,17 +181,6 @@ def cmd_bench(argv: list[str]) -> None:
               f"{grid['cache_bytes'] / 1024:.0f} KiB v2 vs "
               f"{grid['cache_bytes_legacy'] / 1024:.0f} KiB legacy "
               f"(-{grid['cache_reduction']:.0%})")
-    lane = bench.get("lane_sweep")
-    if lane:
-        for mode, info in lane["modes"].items():
-            speedup = (f"  ({info['speedup_vs_chunked']:.2f}x)"
-                       if "speedup_vs_chunked" in info else "")
-            print(f"lane_sweep    {info['points_per_sec']:>12.2f} points/s "
-                  f"[{mode}]{speedup}")
-        identity = "ok" if lane["bit_identical"] else "MISMATCH"
-        print(f"lane_sweep    bit-identity {identity}; best "
-              f"{lane['speedup_vs_chunked']:.2f}x vs chunked "
-              f"(lane width {lane['width']})")
     svc = bench.get("service_sweep")
     if svc:
         identity = "ok" if svc["bit_identical"] else "MISMATCH"

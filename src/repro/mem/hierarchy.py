@@ -33,6 +33,10 @@ _COHERENCE_BANDS = frozenset({
     AccessPath.REMOTE_EXCL,
 })
 
+#: Module-level alias for the load() L1-hit shortcut (skips the enum
+#: class attribute lookup on the hottest path).
+_L1_HIT = AccessPath.L1_HIT
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -178,6 +182,7 @@ class Machine:
             path: (self._band_table[path], self._load_counters[path])
             for path in self._band_table
         }
+        self._l1_hit_info = self._path_info[_L1_HIT]
         self._store_hit_counter = self.stats.counter_handle("machine.store.hit_m")
         self._store_rfo_counter = self.stats.counter_handle("machine.store.rfo")
         self._flush_counter = self.stats.counter_handle("machine.flush")
@@ -420,14 +425,33 @@ class Machine:
         self, core_id: int, paddr: int, now: float = 0.0
     ) -> tuple[int, float, AccessPath]:
         """Service a load; returns (value, latency_cycles, path)."""
+        base = paddr & ~63
+        # L1-hit shortcut, ahead of the backend split (the snoop and
+        # directory private-hit paths are identical).  It does exactly
+        # what private_lookup + _finish do for an L1 hit: the LRU touch,
+        # the same jitter draws in the same order, the same counter.
+        # No obfuscation check: _finish only obfuscates coherence bands.
+        core = self.cores[core_id]
+        bucket = core.l1._sets[(base >> 6) & core.l1._set_mask]
+        line = bucket.get(base)
+        if line is not None:
+            bucket.move_to_end(base)
+            latency, counter = self._l1_hit_info
+            noise = self._noise
+            if noise.enabled:
+                rng = self._jitter_rng
+                latency += rng.normal(0.0, noise.sigma)
+                if rng.random() < noise.tail_probability:
+                    latency += rng.exponential(noise.tail_scale)
+            counter.value += 1
+            return line.value, (latency if latency > 1.0 else 1.0), _L1_HIT
         if self._dir_mode:
             return self._directory_load(core_id, paddr, now)
-        base = paddr & ~63
         home = self._socket_by_core[core_id]
-        core = self.cores[core_id]
-        line, level = home.private_lookup(core, base)
+        line, _level = home.private_lookup(core, base)
         if line is not None:
-            path = AccessPath.L1_HIT if level == "l1" else AccessPath.L2_HIT
+            # L1 missed above, so a private hit is an L2 hit.
+            path = AccessPath.L2_HIT
             base_lat, counter = self._path_info[path]
             latency = self._finish(core_id, base_lat, path)
             counter.value += 1
@@ -665,9 +689,10 @@ class Machine:
         base = paddr & ~63
         domain = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        line, level = domain.private_lookup(core, base)
+        line, _level = domain.private_lookup(core, base)
         if line is not None:
-            path = AccessPath.L1_HIT if level == "l1" else AccessPath.L2_HIT
+            # load() already served L1 hits, so this is an L2 hit.
+            path = AccessPath.L2_HIT
             base_lat, counter = self._path_info[path]
             latency = self._finish(core_id, base_lat, path)
             counter.value += 1

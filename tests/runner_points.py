@@ -59,37 +59,14 @@ def slow_point(*, x, seconds):
     return x
 
 
-def square_marked(*, x, fault_rate=None):
-    """Like :func:`square`, accepting a lane-ineligibility marker."""
-    return x * x
-
-
-def transmit_point(*, cell, seed, bits, fault_rate=None):
+def transmit_opts(*, cell, seed, bits, trace=None):
     """One real transmission on a registered scenario cell.
 
-    Returns the full :class:`TransmissionResult` so the lane tests can
-    compare pickles byte-for-byte.  *fault_rate* is accepted purely as
-    a lane-ineligibility marker (see
-    :func:`repro.sim.lanes.point_bypass_reason`); it does not change the
-    computation, so lane and reference dispatch of the same params must
-    produce identical bytes.
-    """
-    from repro.channel.session import ChannelSession, SessionConfig
-    from repro.experiments.common import payload_bits
-
-    session = ChannelSession(SessionConfig(
-        spec=cell, seed=seed, calibration_samples=120,
-    ))
-    return session.transmit(payload_bits(bits, seed=seed + 77))
-
-
-def transmit_opts(*, cell, seed, bits, trace=None):
-    """Like :func:`transmit_point` with an explicit trace override.
-
-    ``trace=False`` keeps a session lane-eligible under ``REPRO_TRACE``
-    (the bypass-event tests need the runner recorder on while the
-    session itself stays untraced); ``trace=True`` forces a recorder
-    session regardless of the environment.
+    Returns the full :class:`TransmissionResult` (manifest included) so
+    tests can compare pickles byte-for-byte.  *trace* overrides the
+    session's tracing decision: ``False`` keeps the session untraced
+    under ``REPRO_TRACE`` (the runner recorder still observes);
+    ``True`` forces a recorder session regardless of the environment.
     """
     from repro.channel.session import ChannelSession, SessionConfig
     from repro.experiments.common import payload_bits
@@ -100,12 +77,17 @@ def transmit_opts(*, cell, seed, bits, trace=None):
     return session.transmit(payload_bits(bits, seed=seed + 77))
 
 
+def transmit_point(*, cell, seed, bits):
+    """:func:`transmit_opts` with the environment's tracing decision."""
+    return transmit_opts(cell=cell, seed=seed, bits=bits)
+
+
 def transmit_obfuscated(*, cell, seed, bits):
     """A transmission whose machine is obfuscated *after* session build.
 
-    The session is lane-eligible at construction; the obfuscation policy
-    appears before the first run, forcing the lane simulator's dynamic
-    stand-down — the mid-flight divergence path, not the static one.
+    The obfuscation policy appears between construction and the first
+    run — the mid-flight change a hardware defense makes to a live
+    machine, rather than one configured up front.
     """
     from repro.channel.session import ChannelSession, SessionConfig
     from repro.experiments.common import payload_bits

@@ -37,7 +37,8 @@ from repro.checkpoint.segments import (
     segment_cycles,
     segments_enabled,
 )
-from repro.errors import CheckpointError
+from repro.checkpoint import segments as segments_mod
+from repro.errors import CheckpointError, ConfigError
 from repro.runner import ResultCache
 
 PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
@@ -217,13 +218,37 @@ def test_segment_cycles_env_parsing(monkeypatch):
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "2.5e5")
     assert segment_cycles() == 250000.0
     assert segments_enabled()
-    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "banana")
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "0")
     assert segment_cycles() == 0.0
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "-5")
     assert segment_cycles() == 0.0
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "1e5")
     monkeypatch.setenv("REPRO_SEGMENTS", "0")
     assert not segments_enabled()
+
+
+@pytest.mark.parametrize("raw", ["25k", "banana", "1e5 cycles"])
+def test_malformed_segment_cycles_raises(monkeypatch, raw):
+    # A typo must not silently turn crash-resume off.
+    monkeypatch.delenv("REPRO_SEGMENTS", raising=False)
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", raw)
+    with pytest.raises(ConfigError, match=f"REPRO_SEGMENT_CYCLES={raw!r}"):
+        segment_cycles()
+    with pytest.raises(ConfigError, match="REPRO_SEGMENT_CYCLES"):
+        segments_enabled()
+
+
+def test_kill_at_segment_env_parsing(monkeypatch):
+    monkeypatch.setattr(segments_mod, "_kill_after", None)
+    monkeypatch.setattr(segments_mod, "_total_stored", 0)
+    monkeypatch.setenv("REPRO_KILL_AT_SEGMENT", "3x")
+    with pytest.raises(ConfigError, match="REPRO_KILL_AT_SEGMENT='3x'"):
+        segments_mod._count_store_and_maybe_kill()
+    # Unset and a threshold not yet reached store without killing.
+    monkeypatch.delenv("REPRO_KILL_AT_SEGMENT")
+    segments_mod._count_store_and_maybe_kill()
+    monkeypatch.setenv("REPRO_KILL_AT_SEGMENT", "1000")
+    segments_mod._count_store_and_maybe_kill()
 
 
 def test_segment_store_guards(monkeypatch):

@@ -7,7 +7,9 @@ Covers the two satellite units the scenario matrix leans on:
   directory must tolerate;
 * the true-LRU promote-on-probe encoding the LRU channel modulates —
   an MRU-promoted line survives a probe sweep that evicts everything
-  else, which is exactly the one-bit signal the spy times.
+  else, which is exactly the one-bit signal the spy times;
+* the L1-hit shortcut at the top of :meth:`Machine.load`, which serves
+  both backends and must match the full private-hit path exactly.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from repro.mem.cache import SetAssocCache
 from repro.mem.directory import DirectoryEntry, DirectoryState
 from repro.mem.hierarchy import AccessPath, Machine, MachineConfig
 from repro.mem.latency import NoiseModel
+from repro.obs import MachineTap, TraceRecorder
 from repro.sim.rng import RngStreams
 
 LINE = 64
@@ -203,3 +206,43 @@ def test_mru_cold_pairs_map_to_expected_bands():
     # holder's cache (E band); a swept (COLD) block refills from DRAM.
     assert LMRU.expected_path is AccessPath.LOCAL_EXCL
     assert LCOLD.expected_path is AccessPath.DRAM
+
+
+# -- L1-hit shortcut in Machine.load ----------------------------------
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel(enabled=False),
+    NoiseModel(),
+    NoiseModel(tail_probability=1.0),  # every hit draws the tail too
+], ids=["noise-off", "noise-on", "noise-tail"])
+@pytest.mark.parametrize("coherence", ["snoop", "directory"])
+def test_l1_hit_shortcut_matches_full_path(coherence, noise):
+    config = MachineConfig(coherence=coherence, noise=noise)
+    machine = Machine(config, RngStreams(5))
+    twin = Machine(config, RngStreams(5))
+    addr = 0x300_0000
+    # Same L1 set (64 sets x 64 B lines), loaded after addr: addr is LRU.
+    other = addr + config.l1_sets * LINE
+    for m in (machine, twin):
+        m.load(0, addr, now=0.0)
+        m.load(0, other, now=10.0)
+    bucket = machine.cores[0].l1._sets[machine.cores[0].l1.set_index(addr)]
+    assert list(bucket)[-1] == other
+    counter = machine.stats.counter_handle("machine.load.l1_hit")
+    hits_before = counter.value
+    recorder = TraceRecorder()
+    MachineTap(machine, recorder).attach()
+
+    value, latency, path = machine.load(0, addr, now=20.0)
+
+    base_lat = twin._path_info[AccessPath.L1_HIT][0]
+    assert path is AccessPath.L1_HIT
+    assert value == machine.cores[0].l1.lookup(addr, touch=False).value
+    assert latency == twin._finish(0, base_lat, AccessPath.L1_HIT)
+    assert (machine._jitter_rng.bit_generator.state
+            == twin._jitter_rng.bit_generator.state)
+    assert counter.value == hits_before + 1
+    assert list(bucket)[-1] == addr           # promoted to MRU
+    loads = recorder.select("load")
+    assert [(e.name, e.data["line"]) for e in loads] == [("l1_hit", addr)]

@@ -166,6 +166,20 @@ def test_version_salt_tracks_package_version():
     assert __version__ in version_salt()
 
 
+def test_package_version_has_one_source():
+    # The cache salt reads repro.__version__; the distribution metadata
+    # must take its version from there, not keep a second copy.
+    tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__",
+    }
+
+
 # -- runner ---------------------------------------------------------------
 
 

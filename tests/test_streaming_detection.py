@@ -19,8 +19,8 @@ behavior-preserving refactor of the offline one, with bounded state:
   long keeps the monitor's footprint at the window scale (the
   regression the prune-on-append + idle-eviction rework fixes).
 * **Arena determinism** — the detection-vs-evasion tournament is
-  bit-deterministic for a fixed seed, with lanes and segmented
-  checkpointing toggled on or off.
+  bit-deterministic for a fixed seed, with segmented checkpointing
+  toggled on or off.
 """
 
 import random
@@ -410,28 +410,26 @@ def _tiny_arena_spec():
     )
 
 
-def _run_arena(lanes):
+def _run_arena():
     spec = _tiny_arena_spec()
-    values = Runner(jobs=1, cache=None, lanes=lanes).run(spec).values
+    values = Runner(jobs=1, cache=None).run(spec).values
     return arena.collect(spec, values)
 
 
 def test_arena_is_deterministic_across_backends(monkeypatch):
-    """Same seed -> identical frontier/tournament, lanes and segmented
+    """Same seed -> identical frontier/tournament, segmented
     checkpointing on or off."""
     # Trim the evasion ladder: two settings are enough to exercise the
     # grouping/tournament arithmetic, and the obfuscation leg is slow.
     monkeypatch.setattr(arena, "EVASIONS", arena.EVASIONS[:2])
-    monkeypatch.delenv("REPRO_LANES", raising=False)
     monkeypatch.delenv("REPRO_SEGMENT_CYCLES", raising=False)
     monkeypatch.setenv("REPRO_SEGMENTS", "0")
 
-    baseline = _run_arena(lanes=0)
-    assert _run_arena(lanes=4) == baseline
+    baseline = _run_arena()
 
     monkeypatch.setenv("REPRO_SEGMENTS", "1")
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "200000")
-    assert _run_arena(lanes=0) == baseline
+    assert _run_arena() == baseline
 
     cell = baseline["cells"]["mesi-es"]
     assert cell["frontier"][0]["evasion"] == "none"
