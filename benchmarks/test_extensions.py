@@ -1,18 +1,16 @@
 """Benches for the extension experiments: detection ROC and capacity."""
 
-from repro.experiments import capacity_analysis, detection_roc
 
-
-def test_detection_roc(once):
+def test_detection_roc(run_driver):
     """Every Table I attack is flagged; benign workloads are not."""
-    result = once(detection_roc.run, seed=0, bits=32)
+    result = run_driver("detect", seed=0, bits=32)
     assert result["true_positives"] == result["attacks"] == 6
     assert result["false_positives"] == 0
 
 
-def test_capacity_analysis(once):
+def test_capacity_analysis(run_driver):
     """Capacity mirrors the paper's bandwidth story in bits/symbol."""
-    result = once(capacity_analysis.run, seed=0, bits=160)
+    result = run_driver("capacity", seed=0, bits=160)
     points = {p["label"]: p for p in result["points"]}
     # binary at a comfortable rate carries ~1 bit/symbol
     assert points["binary@400K noise=0"]["capacity_bits"] >= 0.95

@@ -1,16 +1,15 @@
 """Figure 10 bench: effective rate with parity+NACK retransmission."""
 
 from repro.channel.config import TABLE_I
-from repro.experiments import fig10_ecc
 
 #: Two representative scenarios keep the bench tractable; the driver
 #: sweeps all six.
 SCENARIOS = [TABLE_I[0], TABLE_I[3]]
 
 
-def test_fig10_reliable_transfer(once):
-    result = once(
-        fig10_ecc.run,
+def test_fig10_reliable_transfer(run_driver):
+    result = run_driver(
+        "fig10",
         seed=0,
         payload_bytes=16,
         packet_bytes=4,

@@ -1,13 +1,12 @@
 """Figure 11 bench: 2-bit symbols reach ~1.1 Mbps vs ~700 Kbps binary."""
 
-from repro.channel.config import ProtocolParams, scenario_by_name
+from repro.channel.config import ProtocolParams
 from repro.channel.session import ChannelSession, SessionConfig
-from repro.experiments import fig11_multibit
 from repro.experiments.common import payload_bits
 
 
-def test_fig11_multibit_peak(once):
-    result = once(fig11_multibit.run, seed=0, bits=120, rates=(900, 1100))
+def test_fig11_multibit_peak(run_driver):
+    result = run_driver("fig11", seed=0, bits=120, rates=(900, 1100))
     points = {p["rate_kbps"]: p for p in result["points"]}
     # The paper's peak: ~1.1 Mbps at high accuracy with 2-bit symbols.
     assert points[1100.0]["accuracy"] >= 0.95

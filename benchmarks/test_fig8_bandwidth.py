@@ -2,14 +2,11 @@
 
 import numpy as np
 
-from repro.channel.config import scenario_by_name
-from repro.experiments import fig8_bandwidth
-
 RATES = (200, 500, 800, 1000)
 
 
-def test_fig8_accuracy_vs_rate(once):
-    result = once(fig8_bandwidth.run, seed=0, bits=100, rates=RATES)
+def test_fig8_accuracy_vs_rate(run_driver):
+    result = run_driver("fig8", seed=0, bits=100, rates=RATES)
     curves = result["curves"]
     assert len(curves) == 6
     for name, points in curves.items():
@@ -24,5 +21,5 @@ def test_fig8_accuracy_vs_rate(once):
     assert mean_high < mean_low
     # The paper's headline band: high accuracy is sustained at 700-800
     # Kbps (its binary peak), e.g. RExclc-LSharedb at ~96% @ 800.
-    exception = dict(curves[scenario_by_name("RExclc-LSharedb").name])
+    exception = dict(curves["RExclc-LSharedb"])
     assert exception[800.0] >= 0.9

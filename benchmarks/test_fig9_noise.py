@@ -2,14 +2,12 @@
 
 import numpy as np
 
-from repro.experiments import fig9_noise
-
 LEVELS = (0, 2, 8)
 
 
-def test_fig9_noise_degradation(once):
-    result = once(
-        fig9_noise.run, seed=0, bits=100, noise_levels=LEVELS, trials=2,
+def test_fig9_noise_degradation(run_driver):
+    result = run_driver(
+        "fig9", seed=0, bits=100, noise_levels=LEVELS, trials=2,
     )
     curves = result["curves"]
     assert len(curves) == 6

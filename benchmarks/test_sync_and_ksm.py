@@ -1,14 +1,13 @@
 """Section VII-A / Section IV benches: synchronization and KSM setup."""
 
-from repro.experiments import sync_handshake
 from repro.kernel.syscalls import Kernel
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
 
-def test_sync_handshake_duration(once):
-    result = once(sync_handshake.run, seed=0)
+def test_sync_handshake_duration(run_driver):
+    result = run_driver("sync", seed=0)
     assert result["synced"]
     # Paper: ~90 ms average at 2.67 GHz.
     assert 40 <= result["duration_ms"] <= 200

@@ -3,8 +3,8 @@
 from repro.experiments import table1_scenarios
 
 
-def test_table1_all_scenarios(once):
-    result = once(table1_scenarios.run, seed=0, bits=40)
+def test_table1_all_scenarios(run_driver):
+    result = run_driver("table1", seed=0, bits=40)
     assert len(result["rows"]) == 6
     for row in result["rows"]:
         paper = table1_scenarios.PAPER_TABLE_I[row["scenario"]]

@@ -44,7 +44,7 @@ def reliable_transfer(noise_threads: int) -> None:
     rng = np.random.default_rng(2)
     payload = bytes(rng.integers(0, 256, 24, dtype=np.uint8))
     channel = ReliableChannel(
-        SCENARIO,
+        SCENARIO.name,
         params=ProtocolParams().at_rate(RATE),
         seed=11,
         noise_threads=noise_threads,

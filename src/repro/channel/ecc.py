@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.channel.config import ProtocolParams, Scenario
+from repro.channel.config import ProtocolParams
 from repro.channel.metrics import goodput_kbps
-from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
+from repro.channel.scenarios import ScenarioSpec
+from repro.channel.session import ChannelSession, SessionConfig
 from repro.errors import ChannelError, ConfigError
 from repro.mem.hierarchy import MachineConfig
 
@@ -162,7 +163,7 @@ class ReliableChannel:
 
     def __init__(
         self,
-        scenario: Scenario | str,
+        spec: ScenarioSpec | str,
         params: ProtocolParams | None = None,
         seed: int = 0,
         noise_threads: int = 0,
@@ -186,7 +187,6 @@ class ReliableChannel:
         self.retry_backoff_cycles = retry_backoff_cycles
         params = params if params is not None else ProtocolParams()
         machine = machine if machine is not None else MachineConfig()
-        spec = resolve_spec(scenario)
         self.forward = ChannelSession(SessionConfig(
             spec=spec, params=params, seed=seed,
             noise_threads=noise_threads, machine=machine,

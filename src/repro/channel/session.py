@@ -15,7 +15,6 @@ mitigation experiments can reuse it.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from repro.channel.calibration import (
@@ -71,15 +70,12 @@ class SessionConfig:
     :class:`~repro.channel.scenarios.ScenarioSpec` (or its name), which
     resolves the scenario, overlays the machine's protocol/topology and
     fills in channel-family defaults (params, flush method, sharing)
-    for every field the caller left at its default.  The legacy
-    ``scenario=<Scenario>`` keyword still works but is deprecated.
+    for every field the caller left at its default.
     """
 
     #: A :class:`~repro.channel.scenarios.ScenarioSpec`, or a registered
     #: scenario name (``scenario_spec_by_name`` spelling).
     spec: ScenarioSpec | str | None = None
-    #: Deprecated: the bare state-pair structure.  Use ``spec``.
-    scenario: Scenario | None = None
     params: ProtocolParams = field(default_factory=ProtocolParams)
     seed: int = 0
     #: "ksm" forces page sharing through memory deduplication
@@ -131,6 +127,8 @@ class SessionConfig:
     #: session owns a :class:`~repro.obs.TraceRecorder` with a
     #: :class:`~repro.obs.MachineTap` attached for its whole lifetime.
     trace: bool | None = None
+    #: The bare state-pair structure, derived from ``spec``.
+    scenario: Scenario = field(init=False)
 
     def __post_init__(self) -> None:
         self._resolve_spec()
@@ -140,14 +138,13 @@ class SessionConfig:
             raise ConfigError("resync_attempts must be >= 0")
         if self.flush_method not in ("clflush", "evict"):
             raise ConfigError(f"unknown flush method {self.flush_method!r}")
-        if self.scenario is not None:
-            if self.scenario.needs_remote_socket and self.machine.n_sockets < 2:
-                raise ConfigError(
-                    f"scenario {self.scenario.name} needs two sockets"
-                )
+        if self.scenario.needs_remote_socket and self.machine.n_sockets < 2:
+            raise ConfigError(
+                f"scenario {self.scenario.name} needs two sockets"
+            )
 
     def _resolve_spec(self) -> None:
-        """Resolve ``spec``/``scenario`` into a concrete configuration.
+        """Resolve ``spec`` into a concrete configuration.
 
         A spec overlays only fields the caller left at their defaults
         (machine protocol/topology, params, flush method, sharing), so
@@ -156,44 +153,20 @@ class SessionConfig:
         """
         spec = self.spec
         if isinstance(spec, str):
-            spec = scenario_spec_by_name(spec)
-            self.spec = spec
-        if isinstance(spec, Scenario):
-            # A bare Scenario slid into the new first positional slot.
-            warnings.warn(
-                "passing a Scenario where SessionConfig expects a "
-                "ScenarioSpec is deprecated; pass spec=<ScenarioSpec or "
-                "registered name> (or the legacy scenario= keyword)",
-                DeprecationWarning,
-                stacklevel=4,
-            )
-            self.scenario = spec
-            self.spec = spec = None
-        if spec is not None:
-            if self.scenario is not None and self.scenario != spec.scenario:
-                raise ConfigError(
-                    "pass either spec= or scenario=, not conflicting both"
-                )
-            self.scenario = spec.scenario
-            self.machine = spec.machine_config(self.machine)
-            if self.params == ProtocolParams():
-                self.params = spec.default_params()
-            if self.flush_method == "clflush":
-                self.flush_method = spec.flush_method
-            if self.sharing == "ksm":
-                self.sharing = spec.sharing
-        elif self.scenario is not None:
-            warnings.warn(
-                "SessionConfig(scenario=...) is deprecated; pass "
-                "spec=<ScenarioSpec or registered scenario name> instead",
-                DeprecationWarning,
-                stacklevel=4,
-            )
-        else:
+            spec = self.spec = scenario_spec_by_name(spec)
+        if not isinstance(spec, ScenarioSpec):
             raise ConfigError(
                 "SessionConfig needs spec= (a ScenarioSpec or registered "
-                "scenario name) or the legacy scenario= keyword"
+                f"scenario name), got {spec!r}"
             )
+        self.scenario = spec.scenario
+        self.machine = spec.machine_config(self.machine)
+        if self.params == ProtocolParams():
+            self.params = spec.default_params()
+        if self.flush_method == "clflush":
+            self.flush_method = spec.flush_method
+        if self.sharing == "ksm":
+            self.sharing = spec.sharing
 
 
 @dataclass
@@ -228,8 +201,7 @@ class TransmissionResult:
 
     # The latency trace dominates the pickled size of a result (IPC
     # payloads and ResultCache entries alike), so it travels in the
-    # compact typed-array form and is rebuilt on unpickle.  Legacy
-    # pickles carry a plain list, which unpack_samples passes through.
+    # compact typed-array form and is rebuilt on unpickle.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["samples"] = pack_samples(state["samples"])
@@ -238,7 +210,6 @@ class TransmissionResult:
     def __setstate__(self, state: dict) -> None:
         state = dict(state)
         state["samples"] = unpack_samples(state["samples"])
-        state.setdefault("manifest", None)  # pre-1.3 pickles
         self.__dict__.update(state)
 
 
@@ -786,17 +757,16 @@ class ChannelSession(SessionBase):
 
 
 def resolve_spec(
-    scenario: Scenario | str | None = None,
+    scenario: str | None = None,
     spec: ScenarioSpec | str | None = None,
     protocol: str | None = None,
 ) -> ScenarioSpec:
     """Resolve grid-point inputs into one concrete :class:`ScenarioSpec`.
 
-    Accepts the modern ``spec`` (object or registry name), the legacy
-    ``scenario`` (Table I name string or bare Scenario object — wrapped
-    into an ad-hoc spec without deprecation noise, since drivers funnel
-    every grid point through here), and an optional ``protocol``
-    override from the uniform ``--protocol`` flag.
+    Accepts ``spec`` (object or registry name), or ``scenario`` — a
+    registered scenario name, the JSON-plain spelling grid points
+    carry — plus an optional ``protocol`` override from the uniform
+    ``--protocol`` flag, which only a ``scenario`` name may take.
     """
     from dataclasses import replace
 
@@ -809,12 +779,12 @@ def resolve_spec(
                 f"cannot override with {protocol!r}"
             )
         return spec
-    if scenario is None:
-        raise ConfigError("execute_point needs spec= or scenario=")
-    if isinstance(scenario, str):
-        base = scenario_spec_by_name(scenario)
-    else:
-        base = ScenarioSpec(name=scenario.name, scenario=scenario)
+    if not isinstance(scenario, str):
+        raise ConfigError(
+            "execute_point needs spec= or a registered scenario= name, "
+            f"got {scenario!r}"
+        )
+    base = scenario_spec_by_name(scenario)
     if protocol is not None and protocol != base.protocol:
         base = replace(base, protocol=protocol)
     return base
@@ -822,7 +792,7 @@ def resolve_spec(
 
 def execute_point(
     *,
-    scenario: Scenario | str | None = None,
+    scenario: str | None = None,
     payload: list[int],
     spec: ScenarioSpec | str | None = None,
     protocol: str | None = None,
@@ -914,38 +884,19 @@ def execute_point(
 
 
 def run_transmission(
-    scenario: Scenario | ScenarioSpec | str | None = None,
-    payload: list[int] | None = None,
+    spec: ScenarioSpec | str,
+    payload: list[int],
     params: ProtocolParams | None = None,
     seed: int = 0,
     noise_threads: int = 0,
     sharing: str | None = None,
     machine: MachineConfig | None = None,
-    *,
-    spec: ScenarioSpec | str | None = None,
 ) -> TransmissionResult:
     """One-shot convenience: build a session and send one payload.
 
-    Prefer ``spec=`` (a :class:`~repro.channel.scenarios.ScenarioSpec`
-    or registered name); a spec/name in the first positional slot is
-    accepted too.  Passing a bare :class:`Scenario` object is deprecated
-    — it carries no protocol/topology information.
+    *spec* is a :class:`~repro.channel.scenarios.ScenarioSpec` or a
+    registered scenario name.
     """
-    if payload is None:
-        raise ConfigError("run_transmission needs a payload")
-    if spec is None:
-        if isinstance(scenario, (str, ScenarioSpec)):
-            spec = scenario
-        elif isinstance(scenario, Scenario):
-            warnings.warn(
-                "run_transmission(scenario=<Scenario>) is deprecated; "
-                "pass spec=<ScenarioSpec or registered scenario name>",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            spec = ScenarioSpec(name=scenario.name, scenario=scenario)
-        else:
-            raise ConfigError("run_transmission needs spec= or scenario=")
     kwargs: dict = {}
     if params is not None:
         kwargs["params"] = params

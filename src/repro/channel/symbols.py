@@ -16,7 +16,7 @@ from repro.channel.calibration import DEFAULT_CALIBRATION_SAMPLES, DRAM_LABEL
 from repro.channel.config import ALL_PAIRS, ProtocolParams, Scenario, StatePair
 from repro.channel.decoder import Sample, pack_samples, unpack_samples
 from repro.channel.metrics import Alignment, align_bits, transmission_rate_kbps
-from repro.channel.session import SessionBase, SessionConfig, resolve_spec
+from repro.channel.session import SessionBase, SessionConfig
 from repro.channel.trojan import TrojanControl, worker_roles
 from repro.errors import ConfigError
 from repro.mem.latency import CLOCK_HZ
@@ -30,7 +30,8 @@ SYMBOL_PAIRS: tuple[StatePair, ...] = ALL_PAIRS
 BITS_PER_SYMBOL = 2
 
 #: The multi-bit trojan needs the full worker complement: two readers on
-#: each socket.  This equals the RSharedc-LSharedb placement of Table I.
+#: each socket.  This equals the RSharedc-LSharedb placement of Table I
+#: (the session is configured through that registered name).
 _PLACEMENT_SCENARIO = Scenario(csc=SYMBOL_PAIRS[2], csb=SYMBOL_PAIRS[0])
 
 
@@ -296,7 +297,6 @@ class SymbolTransmissionResult:
     def __setstate__(self, state: dict) -> None:
         state = dict(state)
         state["samples"] = unpack_samples(state["samples"])
-        state.setdefault("manifest", None)  # pre-1.3 pickles
         self.__dict__.update(state)
 
 
@@ -318,7 +318,7 @@ class MultiBitSession(SessionBase):
         from repro.mem.hierarchy import MachineConfig
 
         config = SessionConfig(
-            spec=resolve_spec(_PLACEMENT_SCENARIO),
+            spec=_PLACEMENT_SCENARIO.name,
             params=self.symbol_params.as_protocol_params(),
             seed=seed,
             sharing=sharing,

@@ -19,11 +19,7 @@ for its own main transmission.
 Environment knobs:
 
 * ``REPRO_SEGMENT_CYCLES`` — segment length in simulated cycles; unset
-  or ``0`` disables segmentation entirely (today's behavior).
-* ``REPRO_SEGMENTS=0`` — kill switch: segmentation stays off even when
-  a segment length is configured.
-* ``REPRO_KILL_AT_SEGMENT=N`` — crash-injection hook: the process
-  SIGKILLs itself after storing its N-th segment (CI crash-resume).
+  or ``0`` disables segmentation entirely (the unsegmented behavior).
 * ``REPRO_CHECKPOINT_EXPORT=path`` — additionally write the newest
   checkpoint blob to *path* (CI artifact; ``repro checkpoint inspect``
   reads it).
@@ -82,14 +78,7 @@ def segment_cycles() -> float:
 
 
 def segments_enabled() -> bool:
-    """Whether segmented execution is active for new sessions.
-
-    Requires a positive ``REPRO_SEGMENT_CYCLES`` and survives the
-    ``REPRO_SEGMENTS=0`` kill switch, which restores the unsegmented
-    behavior exactly regardless of other settings.
-    """
-    if os.environ.get("REPRO_SEGMENTS", "1") == "0":
-        return False
+    """Whether segmented execution is active for new sessions."""
     return segment_cycles() > 0
 
 
@@ -144,11 +133,8 @@ def point_identity(params: Mapping[str, Any]) -> str:
 # crash-injection hook
 # ----------------------------------------------------------------------
 
-#: Segments stored by this process, ever (compared against the
-#: ``REPRO_KILL_AT_SEGMENT`` environment arming).
-_total_stored = 0
-#: Programmatic arming (:func:`arm_kill_after`): kill threshold and the
-#: count of segments stored since arming.
+#: Arming (:func:`arm_kill_after`): kill threshold and the count of
+#: segments stored since arming.
 _kill_after: int | None = None
 _stored_since_arm = 0
 
@@ -158,8 +144,8 @@ def arm_kill_after(n: int) -> None:
 
     Used by the harness fault plane (``worker_kill`` with a positive
     magnitude) to kill a pool worker *mid-run*, after it has durably
-    stored some segments — the scenario the crash-resume CI job proves
-    recoverable.
+    stored some segments, and by the crash-resume CI probe — the
+    scenario both prove recoverable.
     """
     global _kill_after, _stored_since_arm
     _kill_after = max(1, int(n))
@@ -167,17 +153,9 @@ def arm_kill_after(n: int) -> None:
 
 
 def _count_store_and_maybe_kill() -> None:
-    global _total_stored, _stored_since_arm
-    _total_stored += 1
+    global _stored_since_arm
     _stored_since_arm += 1
-    threshold = None
-    count = 0
-    if _kill_after is not None:
-        threshold, count = _kill_after, _stored_since_arm
-    else:
-        threshold = _env_number("REPRO_KILL_AT_SEGMENT", int)
-        count = _total_stored
-    if threshold is not None and count >= threshold:
+    if _kill_after is not None and _stored_since_arm >= _kill_after:
         # A hard, unannounced death — the exact failure mode (OOM kill,
         # preempted spot instance) segmented runs exist to survive.
         os.kill(os.getpid(), signal.SIGKILL)

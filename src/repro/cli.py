@@ -9,9 +9,10 @@ Commands map to the experiment drivers plus a couple of conveniences::
     python -m repro bands                # print calibrated latency bands
 
 Experiment commands dispatch through
-:data:`repro.experiments.REGISTRY` — every driver self-describes (name,
-one-liner, ``build_spec``, ``render``) — and all of them accept the
-shared runner options ``--jobs``, ``--no-cache``, ``--cache-dir``.
+:data:`repro.experiments.REGISTRY` (``ExperimentInfo.main``) — every
+driver self-describes (name, one-liner, ``build_spec``, ``render``) —
+and all of them accept the shared runner options ``--jobs``,
+``--no-cache``, ``--cache-dir``.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ import sys
 from collections.abc import Callable
 
 from repro.experiments import REGISTRY
-
-#: Short command name -> experiments module name (derived from
-#: :data:`REGISTRY`; kept for backwards compatibility).
-EXPERIMENTS: dict[str, str] = {
-    name: info.module for name, info in REGISTRY.items()
-}
 
 
 def cmd_list(_argv: list[str]) -> None:
@@ -250,7 +245,7 @@ def cmd_cache(argv: list[str]) -> None:
     )
     parser.add_argument(
         "action", choices=("stats", "gc"),
-        help="stats: entry counts/bytes/schemas per generation; "
+        help="stats: entry counts/bytes per generation; "
              "gc: delete entries keyed under stale version salts",
     )
     parser.add_argument(
@@ -281,12 +276,8 @@ def cmd_cache(argv: list[str]) -> None:
             print("(empty)")
         for name, info in sorted(stats["generations"].items()):
             mark = "  <- current" if info["current"] else "  (stale)"
-            schemas = ", ".join(
-                f"{schema}:{count}"
-                for schema, count in sorted(info["schemas"].items())
-            ) or "-"
             print(f"  {name:24s} {info['entries']:6d} entries  "
-                  f"{info['bytes'] / 1024:9.1f} KiB  [{schemas}]{mark}")
+                  f"{info['bytes'] / 1024:9.1f} KiB{mark}")
         return
     removed, freed = cache.gc(max_age_seconds=args.max_age)
     print(f"pruned {removed} stale entr{'y' if removed == 1 else 'ies'} "
@@ -404,6 +395,8 @@ def cmd_trace(argv: list[str]) -> None:
 
 def cmd_serve(argv: list[str]) -> None:
     """Run the experiment service in the foreground."""
+    from repro.experiments.common import non_negative_int, positive_float
+
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="host the experiment service: HTTP job API + shared "
@@ -420,9 +413,9 @@ def cmd_serve(argv: list[str]) -> None:
                         help="shared pool size (default: cpu count)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-cache root backing the index")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=non_negative_int, default=0,
                         help="default per-point retry budget")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=positive_float, default=None,
                         help="default per-point wall-clock timeout (s)")
     args = parser.parse_args(argv)
 
@@ -466,6 +459,8 @@ def cmd_serve(argv: list[str]) -> None:
 
 def cmd_submit(argv: list[str]) -> None:
     """Submit a registered driver's grid to a running service."""
+    from repro.experiments.common import non_negative_int, positive_float
+
     parser = argparse.ArgumentParser(
         prog="repro submit",
         description="submit an experiment grid to 'repro serve' and "
@@ -480,9 +475,9 @@ def cmd_submit(argv: list[str]) -> None:
         help="driver build_spec parameter (repeatable); values parse as "
              "JSON when possible, else string",
     )
-    parser.add_argument("--retries", type=int, default=None,
+    parser.add_argument("--retries", type=non_negative_int, default=None,
                         help="per-point retry budget for this job")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=positive_float, default=None,
                         help="per-point wall-clock timeout (s)")
     parser.add_argument("--no-follow", action="store_true",
                         help="print the job id and exit (don't stream "

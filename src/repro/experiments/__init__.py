@@ -1,18 +1,26 @@
-"""Experiment drivers: one runnable module per paper figure/table.
+"""Experiment drivers: one module per paper figure/table.
 
-Run any driver as a module, e.g.::
+Run any driver through the unified CLI, which adds the shared runner
+options (``--jobs``, ``--no-cache``, ``--cache-dir``, ...)::
 
-    python -m repro.experiments.fig2_latency_cdf
-    python -m repro.experiments.fig8_bandwidth --scenario RExclc-LSharedb
+    python -m repro fig2
+    python -m repro fig8 --scenario RExclc-LSharedb
 
-or through the unified CLI (``python -m repro <name>``), which adds the
-shared runner options (``--jobs``, ``--no-cache``, ``--cache-dir``).
+or from Python, through its :data:`REGISTRY` entry::
 
-Every driver self-describes through :data:`REGISTRY`: it exposes
-``build_spec(...)`` / ``spec_from_args(args)`` returning an
-:class:`~repro.runner.ExperimentSpec`, ``run(spec)``, ``collect(spec,
-values)``, ``render(result)`` and ``main(argv)``; see
-:mod:`repro.experiments.common` for the contract.
+    info = REGISTRY["fig8"]
+    result = info.run(info.build_spec(bits=20))
+    print(info.render(result))
+
+The driver contract (see :mod:`repro.experiments.common` for the
+pieces every driver shares): a driver module defines only what differs
+between figures — ``point(**params)``, ``build_spec(**kwargs)``,
+``collect(spec, values)``, ``render(result)``, ``add_arguments(parser)``
+and ``spec_from_args(args)`` — plus ``NAME``/``SUMMARY``/``POINT_FN``.
+The glue that is the same for every driver lives once, in
+:class:`ExperimentInfo`: :meth:`~ExperimentInfo.run` executes a spec
+in-process and collects it, :meth:`~ExperimentInfo.main` is the
+``python -m repro <name>`` command.
 """
 
 from __future__ import annotations
@@ -21,11 +29,9 @@ import argparse
 import importlib
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any
 
-# Drivers are imported lazily (``python -m`` would otherwise warn about
-# the module being pre-imported through the package, and ``repro list``
-# should not pay for importing every driver).
+# Drivers are imported lazily (``repro list`` should not pay for
+# importing every driver).
 __all__ = [
     "REGISTRY",
     "ExperimentInfo",
@@ -60,15 +66,15 @@ class ExperimentInfo:
         """Import and return the driver module."""
         return importlib.import_module(f"repro.experiments.{self.module}")
 
-    def build_spec(self, args: argparse.Namespace | None = None, **kwargs):
-        """The driver's grid: from parsed CLI args or from kwargs."""
-        module = self.load()
-        if args is not None:
-            return module.spec_from_args(args)
-        return module.build_spec(**kwargs)
+    def build_spec(self, **kwargs):
+        """The driver's grid from its ``build_spec`` keyword arguments."""
+        return self.load().build_spec(**kwargs)
 
     def run(self, spec) -> dict:
-        return self.load().run(spec)
+        """Execute *spec* in-process (no cache) and collect the result."""
+        from repro.runner import execute
+
+        return self.collect(spec, execute(spec))
 
     def collect(self, spec, values: list) -> dict:
         return self.load().collect(spec, values)
@@ -76,8 +82,23 @@ class ExperimentInfo:
     def render(self, result: dict) -> str:
         return self.load().render(result)
 
-    def main(self, argv: list[str] | None = None) -> Any:
-        return self.load().main(argv)
+    def main(self, argv: list[str] | None = None) -> None:
+        """``python -m repro <name>``: parse, run the grid, print the table."""
+        from repro.experiments.common import (
+            execute_from_args,
+            runner_arguments,
+        )
+
+        module = self.load()
+        parser = argparse.ArgumentParser(
+            prog=f"repro {self.name}", description=module.__doc__
+        )
+        module.add_arguments(parser)
+        runner_arguments(parser)
+        args = parser.parse_args(argv)
+        spec = module.spec_from_args(args)
+        values = execute_from_args(spec, args)
+        print(module.render(module.collect(spec, values)))
 
 
 #: Short CLI name -> self-describing driver entry (paper order).

@@ -44,11 +44,7 @@ from repro.channel.scenarios import MATRIX_COLS, MATRIX_ROWS, matrix_cell
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.detection.streaming import OnlineRoc, StreamingDetector
 from repro.errors import CalibrationError, ChannelError, SyncTimeoutError
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-)
+from repro.experiments.common import payload_bits
 from repro.experiments.leaderboard import capacity_kbps
 from repro.kernel.syscalls import Kernel
 from repro.kernel.workloads import spawn_kernel_build
@@ -56,7 +52,7 @@ from repro.mem.cacheline import LINE_SIZE
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.mitigation.hardware import attach_obfuscator
 from repro.obs import MachineTap, TraceRecorder
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -431,13 +427,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     }
 
 
-def run(spec: ExperimentSpec | None = None, **kwargs) -> dict:
-    """Run the full arena; returns per-cell frontier + tournament."""
-    if not isinstance(spec, ExperimentSpec):
-        spec = build_spec(**kwargs)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     summary_rows = []
     for cell, data in result["cells"].items():
@@ -518,18 +507,3 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         attack_seeds=args.attack_seeds, benign_seeds=args.benign_seeds,
         generations=args.generations,
     )
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,14 +20,9 @@ from repro.analysis.reporting import ascii_table
 from repro.channel.config import ProtocolParams
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.channel.symbols import MultiBitSession, SymbolParams
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-    warn_legacy_run,
-)
+from repro.experiments.common import payload_bits
 from repro.mem.latency import CLOCK_HZ
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "capacity"
 SUMMARY = "extension: information-theoretic capacity"
@@ -122,20 +117,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"points": list(values)}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Capacity table across operating points.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     rows = [
         (p["label"], f"{p['accuracy'] * 100:.1f}%",
@@ -159,18 +140,3 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(seed=args.seed, bits=args.bits)
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

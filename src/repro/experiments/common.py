@@ -1,24 +1,31 @@
 """Shared plumbing for the experiment drivers.
 
-Every driver speaks the unified :class:`~repro.runner.ExperimentSpec`
-API:
+The driver contract.  Each driver module under
+:mod:`repro.experiments` defines:
 
+* ``NAME``, ``SUMMARY``, ``POINT_FN`` — its registry name, one-liner
+  and the ``"module:point"`` path its grid points call;
 * ``point(**params)`` — the top-level per-grid-point function the
   runner executes (in-process or in a worker);
 * ``build_spec(**kwargs) -> ExperimentSpec`` — declares the grid;
+  anything that shapes only the result or its rendering rides in
+  ``spec.meta``, never in point params, so cache keys stay put;
 * ``collect(spec, values) -> dict`` — reassembles point values into the
   figure-shaped result dict;
-* ``run(spec) -> dict`` — the normalized entry point (legacy keyword
-  forms survive as deprecation shims);
 * ``render(result) -> str`` — the paper-style text table;
-* ``main(argv)`` — CLI glue with the shared ``--jobs``/``--no-cache``/
-  ``--cache-dir`` runner options.
+* ``add_arguments(parser)`` / ``spec_from_args(args)`` — its CLI
+  options and their translation into a spec.
+
+Nothing else: running a spec (``ExperimentInfo.run``) and the
+``python -m repro <name>`` command (``ExperimentInfo.main``) are the
+same for every driver and live once in :mod:`repro.experiments`.  This
+module holds the shared argument groups and :func:`execute_from_args`,
+which runs a spec under the CLI's runner options.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 
 import numpy as np
 
@@ -93,6 +100,30 @@ def common_arguments(parser: argparse.ArgumentParser) -> None:
     protocol_argument(parser)
 
 
+def _bounded(parse, ok, requirement: str):
+    """An argparse ``type``: parse with *parse*, then require *ok*.
+
+    Out-of-range values become argparse usage errors (exit 2) instead
+    of a traceback from deep inside the runner.
+    """
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}"
+            )
+        return value
+
+    checked.__name__ = parse.__name__  # argparse's "invalid int value"
+    return checked
+
+
+#: argparse types for the runner's counted/timed options.
+non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+positive_float = _bounded(float, lambda v: v > 0, "> 0")
+
+
 def runner_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared execution options every experiment command accepts."""
     group = parser.add_argument_group("runner")
@@ -114,18 +145,18 @@ def runner_arguments(parser: argparse.ArgumentParser) -> None:
         help="suppress per-point progress lines on stderr",
     )
     group.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=positive_int, default=None, metavar="N",
         help="points per worker dispatch when --jobs > 1 (default: "
-             "auto-sized from grid size and jobs, or $REPRO_CHUNK_SIZE; "
-             "1 restores one-future-per-point dispatch)",
+             "auto-sized from grid size and jobs; 1 restores "
+             "one-future-per-point dispatch)",
     )
     group.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=non_negative_int, default=0, metavar="N",
         help="extra attempts per failed point, with deterministic "
              "exponential backoff (default: fail fast)",
     )
     group.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=positive_float, default=None, metavar="SECONDS",
         help="per-point wall-clock limit (SIGALRM-enforced in the "
              "executing process)",
     )
@@ -160,7 +191,7 @@ def runner_arguments(parser: argparse.ArgumentParser) -> None:
              "CYCLES simulated cycles so killed/timed-out points resume "
              "from their last segment instead of recomputing (sets "
              "REPRO_SEGMENT_CYCLES so worker processes inherit it; "
-             "cache keys are unaffected; REPRO_SEGMENTS=0 disables)",
+             "cache keys are unaffected)",
     )
 
 
@@ -255,14 +286,3 @@ def execute_from_args(spec, args: argparse.Namespace) -> list:
         )
         raise SystemExit(1)
     return report.values
-
-
-def warn_legacy_run(module: str) -> None:
-    """Deprecation warning for the pre-ExperimentSpec ``run()`` forms."""
-    warnings.warn(
-        f"calling {module}.run() with legacy keyword arguments is "
-        f"deprecated; build a grid with {module}.build_spec(...) and pass "
-        f"the ExperimentSpec as the single positional argument",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -16,17 +16,12 @@ from repro.analysis.reporting import ascii_table
 from repro.channel.config import TABLE_I
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.detection import ChannelDetector, EventMonitor, OnlineRoc
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-    warn_legacy_run,
-)
+from repro.experiments.common import payload_bits
 from repro.kernel.syscalls import Kernel
 from repro.kernel.workloads import spawn_kernel_build
 from repro.mem.cacheline import LINE_SIZE
 from repro.mem.hierarchy import Machine, MachineConfig
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -128,22 +123,6 @@ def _benign_producer_consumer(seed: int) -> dict:
     }
 
 
-def run_attacks(seed: int = 0, bits: int = 40) -> list[dict]:
-    """Run each scenario under monitoring; report detection outcomes."""
-    return [
-        point(workload=f"attack:{scenario.name}", seed=seed, bits=bits)
-        for scenario in TABLE_I
-    ]
-
-
-def run_benign(seed: int = 0) -> list[dict]:
-    """Run benign workloads under monitoring; count false positives."""
-    return [
-        point(workload="benign:kernel-build", seed=seed),
-        point(workload="benign:producer-consumer", seed=seed + 1),
-    ]
-
-
 def build_spec(seed: int = 0, bits: int = 40) -> ExperimentSpec:
     """Attack points (one per scenario) plus the benign workloads."""
     points = [
@@ -194,20 +173,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     }
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Full sweep: attacks must be flagged, benign workloads must not.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., bits=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     rows = [
         (r["workload"], "FLAGGED" if r["detected"] else "clear",
@@ -234,18 +199,3 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(seed=args.seed, bits=args.bits)
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

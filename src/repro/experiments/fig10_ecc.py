@@ -16,17 +16,14 @@ import argparse
 import numpy as np
 
 from repro.analysis.reporting import ascii_table
-from repro.channel.config import TABLE_I, ProtocolParams, scenario_by_name
+from repro.channel.config import TABLE_I, ProtocolParams
 from repro.channel.ecc import ReliableChannel
 from repro.experiments.common import (
     FIG10_NOISE,
-    execute_from_args,
-    runner_arguments,
     scenario_argument,
     selected_scenarios,
-    warn_legacy_run,
 )
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "fig10"
 SUMMARY = "Figure 10 parity+NACK effective rates"
@@ -49,7 +46,7 @@ def point(*, scenario: str, noise_threads: int, seed: int,
     rng = np.random.default_rng(seed)
     payload = bytes(rng.integers(0, 256, payload_bytes, dtype=np.uint8))
     channel = ReliableChannel(
-        scenario_by_name(scenario),
+        scenario,
         params=ProtocolParams().at_rate(rate),
         seed=seed,
         noise_threads=noise_threads,
@@ -117,21 +114,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"table": table, "payload_bytes": spec.meta["payload_bytes"]}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Effective information rate per (scenario, noise level).
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., payload_bytes=..., packet_bytes=..., scenarios=...,
-    noise=..., rate_kbps=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     labels = list(next(iter(result["table"].values()), {}))
     rows = []
@@ -173,18 +155,3 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         scenarios=selected_scenarios(args.scenario),
         rate_kbps=args.rate,
     )
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

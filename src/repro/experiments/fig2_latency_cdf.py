@@ -16,14 +16,9 @@ import numpy as np
 from repro.analysis.cdf import band_separation
 from repro.analysis.reporting import ascii_cdf, ascii_table
 from repro.channel.calibration import calibrate
-from repro.experiments.common import (
-    execute_from_args,
-    protocol_argument,
-    runner_arguments,
-    warn_legacy_run,
-)
+from repro.experiments.common import protocol_argument
 from repro.mem.hierarchy import Machine, MachineConfig
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 from repro.sim.rng import RngStreams
 
 NAME = "fig2"
@@ -78,20 +73,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return values[0]
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Measure all bands; returns raw samples, medians and separations.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(samples=..., seed=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("samples", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     parts = [ascii_cdf(result["raw"],
                        title="Figure 2: load-latency CDFs (cycles)"), ""]
@@ -124,18 +105,3 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(samples=args.samples, seed=args.seed,
                       protocol=args.protocol)
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

@@ -18,14 +18,11 @@ from repro.channel.session import execute_point
 from repro.experiments.common import (
     FIG8_RATES,
     common_arguments,
-    execute_from_args,
     payload_bits,
-    runner_arguments,
     scenario_argument,
     selected_scenarios,
-    warn_legacy_run,
 )
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "fig8"
 SUMMARY = "Figure 8 accuracy-vs-rate sweep"
@@ -86,21 +83,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return {"curves": curves, "rates": list(rates)}
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Accuracy at each rate per scenario.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`.  The old
-    ``run(seed=..., bits=..., rates=..., scenarios=...)`` keyword form
-    still works but warns with :class:`DeprecationWarning`.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     """The Figure 8 accuracy table as text."""
     headers = ["scenario"] + [f"{r}K" for r in result["rates"]]
@@ -125,18 +107,3 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         scenarios=selected_scenarios(args.scenario),
         protocol=args.protocol,
     )
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

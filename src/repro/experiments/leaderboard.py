@@ -27,12 +27,8 @@ from repro.analysis.reporting import ascii_table
 from repro.channel.scenarios import MATRIX_COLS, MATRIX_ROWS, matrix_cell
 from repro.channel.session import execute_point
 from repro.errors import CalibrationError, ChannelError, SyncTimeoutError
-from repro.experiments.common import (
-    execute_from_args,
-    payload_bits,
-    runner_arguments,
-)
-from repro.runner import ExperimentSpec, Point, execute
+from repro.experiments.common import payload_bits
+from repro.runner import ExperimentSpec, Point
 
 NAME = "leaderboard"
 SUMMARY = "scenario-matrix leaderboard (protocol x channel x topology)"
@@ -129,13 +125,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     }
 
 
-def run(spec: ExperimentSpec | None = None, **kwargs) -> dict:
-    """Score the whole matrix; returns per-cell rows keyed by name."""
-    if not isinstance(spec, ExperimentSpec):
-        spec = build_spec(**kwargs)
-    return collect(spec, execute(spec))
-
-
 def _cell_summary(row: dict | None) -> str:
     if row is None:
         return "n/a"
@@ -209,18 +198,3 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.smoke:
         return build_spec(seed=args.seed, bits=16, noise=False)
     return build_spec(seed=args.seed, bits=args.bits)
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

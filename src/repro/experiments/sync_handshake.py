@@ -15,12 +15,7 @@ from repro.analysis.reporting import ascii_table
 from repro.channel.config import TABLE_I
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.channel.sync import SyncParams, run_synchronization
-from repro.experiments.common import (
-    execute_from_args,
-    runner_arguments,
-    warn_legacy_run,
-)
-from repro.runner import ExperimentSpec, Point, execute
+from repro.runner import ExperimentSpec, Point
 
 NAME = "sync"
 SUMMARY = "Section VII-A synchronization timing"
@@ -71,20 +66,6 @@ def collect(spec: ExperimentSpec, values: list) -> dict:
     return values[0]
 
 
-def run(spec: ExperimentSpec | None = None, **legacy) -> dict:
-    """Run the handshake on a fresh session; returns durations.
-
-    Pass an :class:`ExperimentSpec` from :func:`build_spec`; the old
-    ``run(seed=..., params=...)`` keyword form warns but still works.
-    """
-    if not isinstance(spec, ExperimentSpec):
-        if spec is not None:
-            legacy.setdefault("seed", spec)
-        warn_legacy_run(__name__)
-        spec = build_spec(**legacy)
-    return collect(spec, execute(spec))
-
-
 def render(result: dict) -> str:
     return ascii_table(
         ("metric", "value"),
@@ -105,18 +86,3 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return build_spec(seed=args.seed)
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_arguments(parser)
-    runner_arguments(parser)
-    args = parser.parse_args(argv)
-
-    spec = spec_from_args(args)
-    values = execute_from_args(spec, args)
-    print(render(collect(spec, values)))
-
-
-if __name__ == "__main__":
-    main()

@@ -11,8 +11,7 @@ was scheduled:
    several points back-to-back in the same worker, amortizing the IPC
    round-trip and letting the worker's process-local calibration memo
    and warm machine pool hit on every point after the chunk's first
-   (``chunk_size``, auto-sized from grid size and worker count;
-   ``REPRO_CHUNK_SIZE`` overrides);
+   (``chunk_size``, auto-sized from grid size and worker count);
 3. fresh values are written back to the cache and slotted into their
    original grid positions.
 
@@ -59,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import (
+    ConfigError,
     IncompleteRunError,
     InjectedFaultError,
     PointExecutionError,
@@ -100,6 +100,17 @@ class FailurePolicy:
     backoff_max: float = 5.0
     jitter: float = 0.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # A negative budget would run no attempt at all, and a
+        # non-positive timeout would fail every attempt: both are
+        # configuration errors, not policies.
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries!r}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ConfigError(
+                f"timeout must be > 0 seconds or None, got {self.timeout!r}"
+            )
 
     def backoff_seconds(self, key: str, attempt: int) -> float:
         """Sleep before retrying *key* after failed attempt *attempt* (1-based)."""
@@ -359,9 +370,8 @@ class Runner:
         deterministic harness faults (tests and ``--inject-faults``).
     chunk_size:
         Points per pool future.  ``None`` (default) auto-sizes via
-        :func:`auto_chunk_size` — unless ``REPRO_CHUNK_SIZE`` is set,
-        which then supplies the default.  Ignored when ``jobs=1``
-        (the serial path has no dispatch to amortize).
+        :func:`auto_chunk_size`.  Ignored when ``jobs=1`` (the serial
+        path has no dispatch to amortize).
     wait_timeout:
         With a *single-flight* cache (``cache.single_flight`` true, e.g.
         :class:`repro.service.RemoteCache`), how long to wait for a
@@ -390,10 +400,6 @@ class Runner:
         self.progress = progress
         self.policy = policy if policy is not None else FailurePolicy()
         self.injector = injector
-        if chunk_size is None:
-            env = os.environ.get("REPRO_CHUNK_SIZE")
-            if env:
-                chunk_size = int(env)
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
@@ -834,9 +840,9 @@ class Runner:
 def execute(spec: ExperimentSpec, runner: Runner | None = None) -> list[Any]:
     """Run *spec* and return its point values in grid order.
 
-    The default runner is serial and cache-less — the mode the drivers'
-    programmatic ``run()`` API uses so library calls stay hermetic; the
-    CLI passes a configured :class:`Runner` instead.
+    The default runner is serial and cache-less — the mode
+    ``ExperimentInfo.run`` uses so library calls stay hermetic; the CLI
+    passes a configured :class:`Runner` instead.
     """
     if runner is None:
         runner = Runner(jobs=1, cache=None)

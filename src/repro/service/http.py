@@ -18,7 +18,7 @@ import asyncio
 import json
 from typing import Any
 
-from repro.errors import SpecError
+from repro.errors import ConfigError, SpecError
 from repro.runner.executor import FailurePolicy
 from repro.runner.spec import spec_from_json
 
@@ -196,11 +196,16 @@ class HttpApi:
             return _json_response(400, {"error": str(exc)})
         policy = None
         if "retries" in payload or "timeout" in payload:
-            policy = FailurePolicy(
-                retries=int(payload.get("retries", 0)),
-                timeout=payload.get("timeout"),
-                keep_going=True,
-            )
+            try:
+                policy = FailurePolicy(
+                    retries=int(payload.get("retries", 0)),
+                    timeout=payload.get("timeout"),
+                    keep_going=True,
+                )
+            except (TypeError, ValueError, ConfigError) as exc:
+                return _json_response(400, {
+                    "error": f"bad failure policy: {exc}",
+                })
         job = self.manager.submit(spec, policy=policy)
         return _json_response(201, {
             "id": job.id,

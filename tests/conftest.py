@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.channel.config import TABLE_I, ProtocolParams
-from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
+from repro.channel.session import ChannelSession, SessionConfig
 from repro.kernel.syscalls import Kernel
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.sim.engine import Simulator
@@ -47,9 +47,7 @@ def session_factory():
 
     def build(scenario=TABLE_I[0], seed=7, **kwargs):
         params = kwargs.pop("params", ProtocolParams())
-        spec = kwargs.pop("spec", None)
-        if spec is None:
-            spec = resolve_spec(scenario)
+        spec = kwargs.pop("spec", scenario.name)
         config = SessionConfig(
             spec=spec,
             params=params,

@@ -75,7 +75,7 @@ def test_default_packet_constants():
 
 
 def test_reliable_channel_delivers_intact():
-    channel = ReliableChannel(TABLE_I[0], seed=3, packet_bytes=16)
+    channel = ReliableChannel(TABLE_I[0].name, seed=3, packet_bytes=16)
     payload = bytes(range(32))
     result = channel.send(payload)
     assert result.intact
@@ -85,18 +85,18 @@ def test_reliable_channel_delivers_intact():
 
 
 def test_reliable_channel_rejects_misaligned_payload():
-    channel = ReliableChannel(TABLE_I[0], seed=3, packet_bytes=16)
+    channel = ReliableChannel(TABLE_I[0].name, seed=3, packet_bytes=16)
     with pytest.raises(ConfigError):
         channel.send(bytes(17))
 
 
 def test_reliable_channel_rejects_bad_packet_bytes():
     with pytest.raises(ConfigError):
-        ReliableChannel(TABLE_I[0], packet_bytes=6)
+        ReliableChannel(TABLE_I[0].name, packet_bytes=6)
 
 
 def test_reliable_channel_counts_cycles():
-    channel = ReliableChannel(TABLE_I[0], seed=3, packet_bytes=16)
+    channel = ReliableChannel(TABLE_I[0].name, seed=3, packet_bytes=16)
     result = channel.send(bytes(16))
     assert result.forward_cycles > 0
     assert result.reverse_cycles > 0
@@ -108,7 +108,7 @@ def test_reliable_channel_counts_cycles():
 
 def test_reliable_channel_under_noise_still_delivers():
     channel = ReliableChannel(
-        TABLE_I[3], seed=3, packet_bytes=8, noise_threads=2,
+        TABLE_I[3].name, seed=3, packet_bytes=8, noise_threads=2,
         max_attempts=60, checksum="crc16",
     )
     payload = bytes(range(16))
@@ -142,4 +142,4 @@ def test_crc16_roundtrip_and_detection():
 
 def test_reliable_channel_rejects_unknown_checksum():
     with pytest.raises(ConfigError):
-        ReliableChannel(TABLE_I[0], checksum="md5")
+        ReliableChannel(TABLE_I[0].name, checksum="md5")

@@ -10,7 +10,8 @@ from repro.channel.config import (
     Scenario,
     scenario_by_name,
 )
-from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
+from repro.channel.scenarios import ScenarioSpec
+from repro.channel.session import ChannelSession, SessionConfig
 from repro.channel.symbols import MultiBitSession, SymbolParams
 from repro.experiments.common import payload_bits
 
@@ -34,7 +35,8 @@ def test_every_unordered_scenario_pair_works():
     swapped = Scenario(csc=LEXCL, csb=RSHARED)   # its role-swapped twin
     for sc in (scenario, swapped):
         session = ChannelSession(SessionConfig(
-            spec=resolve_spec(sc), seed=3, calibration_samples=200,
+            spec=ScenarioSpec(name=sc.name, scenario=sc), seed=3,
+            calibration_samples=200,
         ))
         assert session.transmit(PAYLOAD[:16]).accuracy == 1.0
 

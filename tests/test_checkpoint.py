@@ -7,7 +7,7 @@ stored segment finishes with the same result the original would have
 produced.  Covered across the three coherence backends (snoop MESI,
 MOESI, home-node directory), with noise workloads and a warmup prefix
 riding along, plus the blob format's integrity checks and the
-``REPRO_SEGMENTS=0`` kill switch.
+unsegmented path (``REPRO_SEGMENT_CYCLES`` unset or ``0``).
 """
 
 import hashlib
@@ -72,8 +72,7 @@ def seg_cache(monkeypatch, tmp_path):
     """A private segment cache and a clean checkpoint environment."""
     root = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    for var in ("REPRO_SEGMENT_CYCLES", "REPRO_SEGMENTS",
-                "REPRO_KILL_AT_SEGMENT", "REPRO_CHECKPOINT_EXPORT",
+    for var in ("REPRO_SEGMENT_CYCLES", "REPRO_CHECKPOINT_EXPORT",
                 "REPRO_TRACE"):
         monkeypatch.delenv(var, raising=False)
     clear_warm_state()
@@ -112,14 +111,15 @@ def test_kill_switch_restores_unsegmented_behavior(seg_cache, monkeypatch):
     baseline = execute_point(payload=list(PAYLOAD), **kwargs)
 
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "25000")
-    monkeypatch.setenv("REPRO_SEGMENTS", "0")
+    assert segments_enabled()
+    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "0")
     assert not segments_enabled()
     clear_warm_state()
     disabled = execute_point(payload=list(PAYLOAD), **kwargs)
     assert digest(disabled) == digest(baseline)
     assert disabled.manifest.segment_cycles == 0.0
     assert disabled.manifest.segments_stored == 0
-    # the kill switch keeps the cache untouched too
+    # a zero segment length keeps the cache untouched too
     assert not list(seg_cache.rglob("*.pkl"))
 
 
@@ -212,7 +212,6 @@ def test_point_identity_is_stable_and_sensitive():
 
 def test_segment_cycles_env_parsing(monkeypatch):
     monkeypatch.delenv("REPRO_SEGMENT_CYCLES", raising=False)
-    monkeypatch.delenv("REPRO_SEGMENTS", raising=False)
     assert segment_cycles() == 0.0
     assert not segments_enabled()
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "2.5e5")
@@ -220,17 +219,15 @@ def test_segment_cycles_env_parsing(monkeypatch):
     assert segments_enabled()
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "0")
     assert segment_cycles() == 0.0
+    assert not segments_enabled()
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "-5")
     assert segment_cycles() == 0.0
-    monkeypatch.setenv("REPRO_SEGMENT_CYCLES", "1e5")
-    monkeypatch.setenv("REPRO_SEGMENTS", "0")
     assert not segments_enabled()
 
 
 @pytest.mark.parametrize("raw", ["25k", "banana", "1e5 cycles"])
 def test_malformed_segment_cycles_raises(monkeypatch, raw):
     # A typo must not silently turn crash-resume off.
-    monkeypatch.delenv("REPRO_SEGMENTS", raising=False)
     monkeypatch.setenv("REPRO_SEGMENT_CYCLES", raw)
     with pytest.raises(ConfigError, match=f"REPRO_SEGMENT_CYCLES={raw!r}"):
         segment_cycles()
@@ -239,16 +236,19 @@ def test_malformed_segment_cycles_raises(monkeypatch, raw):
 
 
 def test_kill_at_segment_env_parsing(monkeypatch):
+    """The crash hook is armed only through ``arm_kill_after``."""
     monkeypatch.setattr(segments_mod, "_kill_after", None)
-    monkeypatch.setattr(segments_mod, "_total_stored", 0)
-    monkeypatch.setenv("REPRO_KILL_AT_SEGMENT", "3x")
-    with pytest.raises(ConfigError, match="REPRO_KILL_AT_SEGMENT='3x'"):
-        segments_mod._count_store_and_maybe_kill()
-    # Unset and a threshold not yet reached store without killing.
-    monkeypatch.delenv("REPRO_KILL_AT_SEGMENT")
+    monkeypatch.setattr(segments_mod, "_stored_since_arm", 0)
+    # Unarmed, and armed with a threshold not yet reached, store
+    # without killing.
     segments_mod._count_store_and_maybe_kill()
-    monkeypatch.setenv("REPRO_KILL_AT_SEGMENT", "1000")
+    segments_mod.arm_kill_after(1000)
+    assert segments_mod._stored_since_arm == 0
     segments_mod._count_store_and_maybe_kill()
+    assert segments_mod._stored_since_arm == 1
+    # A non-positive count still arms at the first segment.
+    segments_mod.arm_kill_after(0)
+    assert segments_mod._kill_after == 1
 
 
 def test_segment_store_guards(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 
 
 def test_list_command(capsys):
@@ -45,12 +45,28 @@ def test_experiment_dispatch(capsys):
     assert "Table I" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--retries", "-1"], "--retries: must be >= 0"),
+    (["--chunk-size", "0"], "--chunk-size: must be >= 1"),
+    (["--timeout", "0"], "--timeout: must be > 0"),
+    (["--retries", "two"], "invalid int value"),
+], ids=["negative-retries", "zero-chunk-size", "zero-timeout", "word-retries"])
+def test_runner_options_reject_out_of_range(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table1", "--bits", "4", *argv])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_experiment_names_resolve():
     import importlib
 
-    for module_name in EXPERIMENTS.values():
-        module = importlib.import_module(f"repro.experiments.{module_name}")
-        assert callable(module.main)
+    from repro.experiments import REGISTRY
+
+    for info in REGISTRY.values():
+        module = importlib.import_module(f"repro.experiments.{info.module}")
+        assert callable(module.spec_from_args)
+        assert info.load() is module
 
 
 def test_trace_export_chrome(tmp_path, capsys):

@@ -21,6 +21,7 @@ import pytest
 from repro.channel.config import TABLE_I, ProtocolParams
 from repro.channel.session import ChannelSession, SessionConfig
 from repro.errors import (
+    ConfigError,
     FaultError,
     IncompleteRunError,
     InjectedFaultError,
@@ -155,7 +156,20 @@ def test_backoff_grows_and_caps():
     assert policy.backoff_seconds("p", 9) == 3.0
 
 
+def test_policy_rejects_negative_retries_and_bad_timeout():
+    """A negative budget used to run nothing at all, silently."""
+    for kwargs in ({"retries": -1}, {"timeout": 0}, {"timeout": -2.5}):
+        with pytest.raises(ConfigError):
+            FailurePolicy(**kwargs)
+    assert FailurePolicy(retries=0, timeout=0.5).retries == 0
+
+
 # -- serial retries and faults --------------------------------------------
+
+#: The pool failure paths run under every dispatch shape: auto-sized
+#: (the default), one future per point, and real multi-point chunks
+#: (auto-sizing picks one point per future on grids this small).
+POOL_CHUNK_SIZES = (None, 1, 2)
 
 
 def fast_policy(**kwargs):
@@ -235,12 +249,14 @@ def test_per_point_timeout_parallel_keep_going():
         Point(fn=SQUARE, params={"x": 5}),
         Point(fn=SLOW, params={"x": 1, "seconds": 30.0}, label="wedged"),
     ))
-    report = Runner(
-        jobs=2, policy=FailurePolicy(timeout=0.2, keep_going=True)
-    ).run(spec)
-    assert report.padded_values() == [25, None]
-    (error,) = report.errors
-    assert "PointTimeoutError" in str(error.error)
+    for chunk_size in POOL_CHUNK_SIZES:
+        report = Runner(
+            jobs=2, chunk_size=chunk_size,
+            policy=FailurePolicy(timeout=0.2, keep_going=True),
+        ).run(spec)
+        assert report.padded_values() == [25, None], chunk_size
+        (error,) = report.errors
+        assert "PointTimeoutError" in str(error.error)
 
 
 # -- the portable deadline guard -------------------------------------------
@@ -338,17 +354,19 @@ def test_spec_subset():
 
 def test_pool_recovers_from_killed_worker(tmp_path):
     """A hard-killed worker breaks the pool; the runner respawns it."""
-    points = [Point(fn=SQUARE, params={"x": i}, label=f"x={i}")
-              for i in range(3)]
-    points.append(Point(
-        fn=KILL,
-        params={"x": 4, "tripwire": str(tmp_path / "trip")},
-        label="victim",
-    ))
-    spec = ExperimentSpec(experiment="toy", points=tuple(points))
-    report = Runner(jobs=2, policy=fast_policy(retries=2)).run(spec)
-    assert report.values == [0, 1, 4, 4000]
-    assert report.pool_respawns >= 1
+    for chunk_size in POOL_CHUNK_SIZES:
+        points = [Point(fn=SQUARE, params={"x": i}, label=f"x={i}")
+                  for i in range(3)]
+        points.append(Point(
+            fn=KILL,
+            params={"x": 4, "tripwire": str(tmp_path / f"trip{chunk_size}")},
+            label="victim",
+        ))
+        spec = ExperimentSpec(experiment="toy", points=tuple(points))
+        report = Runner(jobs=2, chunk_size=chunk_size,
+                        policy=fast_policy(retries=2)).run(spec)
+        assert report.values == [0, 1, 4, 4000], chunk_size
+        assert report.pool_respawns >= 1
 
 
 def test_killed_worker_keep_going_survivors_byte_identical(tmp_path):
@@ -366,21 +384,22 @@ def test_killed_worker_keep_going_survivors_byte_identical(tmp_path):
     plan = FaultPlan(seed=0, events=(
         FaultEvent(plane="harness", kind="worker_kill", point=2, attempts=3),
     ))
-    cache = ResultCache(tmp_path, salt="s")
-    report = Runner(
-        jobs=2, cache=cache,
-        policy=fast_policy(retries=2, keep_going=True),
-        injector=FaultInjector(plan),
-    ).run(spec)
+    for chunk_size in POOL_CHUNK_SIZES:
+        cache = ResultCache(tmp_path / f"cache{chunk_size}", salt="s")
+        report = Runner(
+            jobs=2, cache=cache, chunk_size=chunk_size,
+            policy=fast_policy(retries=2, keep_going=True),
+            injector=FaultInjector(plan),
+        ).run(spec)
 
-    (error,) = report.errors
-    assert error.index == 2 and error.attempts == 3
-    assert isinstance(error.error.cause, WorkerCrashError)
-    assert report.pool_respawns >= 3
-    survivors = report.padded_values()
-    for index in (0, 1, 3):
-        assert pickle.dumps(survivors[index]) == pickle.dumps(clean[index])
-    assert survivors[2] is None
+        (error,) = report.errors
+        assert error.index == 2 and error.attempts == 3, chunk_size
+        assert isinstance(error.error.cause, WorkerCrashError)
+        assert report.pool_respawns >= 3
+        survivors = report.padded_values()
+        for index in (0, 1, 3):
+            assert pickle.dumps(survivors[index]) == pickle.dumps(clean[index])
+        assert survivors[2] is None
 
 
 # -- crash-resume from the cache ------------------------------------------
@@ -394,26 +413,34 @@ def test_aborted_sweep_resumes_from_cache(tmp_path):
     never finished — each RECORD point executes exactly once across both
     runs.
     """
-    log = tmp_path / "log.txt"
-    points = [
-        Point(fn=RECORD, params={"x": i, "log": str(log)}, label=f"r{i}")
-        for i in range(3)
-    ]
-    points.append(Point(
-        fn=FLAKY,
-        params={"x": 9, "counter": str(tmp_path / "c"), "fail_times": 1},
-        label="flaky",
-    ))
-    spec = ExperimentSpec(experiment="toy", points=tuple(points))
+    for chunk_size in POOL_CHUNK_SIZES:
+        root = tmp_path / f"chunk{chunk_size}"
+        root.mkdir()
+        log = root / "log.txt"
+        points = [
+            Point(fn=RECORD, params={"x": i, "log": str(log)}, label=f"r{i}")
+            for i in range(3)
+        ]
+        points.append(Point(
+            fn=FLAKY,
+            params={"x": 9, "counter": str(root / "c"), "fail_times": 1},
+            label="flaky",
+        ))
+        spec = ExperimentSpec(experiment="toy", points=tuple(points))
 
-    with pytest.raises(PointExecutionError, match="flaky"):
-        Runner(jobs=2, cache=ResultCache(tmp_path / "cache", salt="s")).run(spec)
+        def runner():
+            return Runner(jobs=2, chunk_size=chunk_size,
+                          cache=ResultCache(root / "cache", salt="s"))
 
-    report = Runner(jobs=2,
-                    cache=ResultCache(tmp_path / "cache", salt="s")).run(spec)
-    assert report.values == [0, 10, 20, 900]
-    executed = sorted(log.read_text().split())
-    assert executed == ["0", "1", "2"], "a completed point was re-executed"
+        with pytest.raises(PointExecutionError, match="flaky"):
+            runner().run(spec)
+
+        report = runner().run(spec)
+        assert report.values == [0, 10, 20, 900]
+        executed = sorted(log.read_text().split())
+        assert executed == ["0", "1", "2"], (
+            f"a completed point was re-executed (chunk_size={chunk_size})"
+        )
 
 
 # -- cache robustness ------------------------------------------------------

@@ -20,8 +20,7 @@ import struct
 
 import pytest
 
-from repro.channel.config import scenario_by_name
-from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
+from repro.channel.session import ChannelSession, SessionConfig
 from repro.mem.hierarchy import MachineConfig
 
 PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
@@ -76,7 +75,7 @@ def run_config(name: str) -> str:
     else:
         machine_kwargs, scenario = config
         session = ChannelSession(SessionConfig(
-            spec=resolve_spec(scenario_by_name(scenario)),
+            spec=scenario,
             seed=7,
             calibration_samples=150,
             machine=MachineConfig(**machine_kwargs),

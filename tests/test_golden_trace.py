@@ -20,8 +20,7 @@ stream); that choice changes nothing about the simulated behavior.
 
 import pytest
 
-from repro.channel.config import scenario_by_name
-from repro.channel.session import ChannelSession, SessionConfig, resolve_spec
+from repro.channel.session import ChannelSession, SessionConfig
 from repro.detection import StreamingDetector
 from repro.mem.hierarchy import MachineConfig
 
@@ -103,7 +102,7 @@ def test_golden_digests_hold_with_streaming_tap(name):
     else:
         machine_kwargs, scenario = config
         session_config = SessionConfig(
-            spec=resolve_spec(scenario_by_name(scenario)),
+            spec=scenario,
             seed=7,
             calibration_samples=150,
             machine=MachineConfig(**machine_kwargs),

@@ -71,7 +71,6 @@ def cold_process(monkeypatch):
     """Fresh warm-pool/memo state, optimizations enabled."""
     monkeypatch.delenv("REPRO_WARM_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_CALIBRATION_MEMO", raising=False)
-    monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
     clear_warm_state()
     yield
     clear_warm_state()
@@ -114,12 +113,10 @@ def test_chunk_pending_covers_groups_and_preserves_singletons():
     assert chunk_pending(points, [7, 2, 5], 1) == [[7], [2], [5]]
 
 
-def test_runner_chunk_size_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_CHUNK_SIZE", "3")
-    assert Runner(jobs=2).chunk_size == 3
-    assert Runner(jobs=2, chunk_size=5).chunk_size == 5
-    monkeypatch.delenv("REPRO_CHUNK_SIZE")
+def test_runner_chunk_size_env_default():
+    """No environment default: ``Runner(chunk_size=)`` or auto-sizing."""
     assert Runner(jobs=2).chunk_size is None
+    assert Runner(jobs=2, chunk_size=5).chunk_size == 5
     with pytest.raises(ValueError):
         Runner(jobs=2, chunk_size=0)
 
@@ -281,7 +278,7 @@ def test_transmission_result_pickles_compact(cold_process):
     assert len(blob) <= 0.7 * len(legacy)
 
 
-# -- cache schema v2 ---------------------------------------------------
+# -- cache entry format ---------------------------------------------------
 
 
 def test_entry_encoding_roundtrip_and_compression():
@@ -294,21 +291,25 @@ def test_entry_encoding_roundtrip_and_compression():
     assert compressed[len(ENTRY_MAGIC)] & 0x01  # zlib flag
     assert decode_entry(compressed) == big
     assert len(compressed) < len(pickle.dumps(big))
-    # legacy (v1) entries are bare pickles and still decode
-    assert decode_entry(pickle.dumps(big)) == big
+    # bytes without the entry magic (a bare pickle) are not an entry
+    with pytest.raises(ValueError, match="entry magic"):
+        decode_entry(pickle.dumps(big))
 
 
 def test_cache_reads_legacy_bare_pickle_entry(tmp_path):
+    """A bare pickle is a corrupt entry: a miss, and it is deleted."""
     cache = ResultCache(tmp_path)
     point = Point(fn="tests.runner_points:square", params={"x": 2})
     path = cache.path_for(point)
     path.parent.mkdir(parents=True)
-    path.write_bytes(pickle.dumps(4))  # schema v1 bytes, v2 location
-    assert cache.lookup(point) == (True, 4)
+    path.write_bytes(pickle.dumps(4))
+    assert cache.lookup(point) == (False, None)
+    assert not path.exists()
 
 
 def test_cache_stats_and_gc(tmp_path):
-    # a legacy flat-layout entry and a stale-salt generation
+    # a flat two-hex directory and a stale-salt generation: both are
+    # stale generations to a cache that reads only its own salt's dir
     legacy = tmp_path / "ab" / "ab00.pkl"
     legacy.parent.mkdir(parents=True)
     legacy.write_bytes(pickle.dumps(1.0))
@@ -323,8 +324,10 @@ def test_cache_stats_and_gc(tmp_path):
     stats = cache.stats()
     assert stats["entries"] == 3
     generations = stats["generations"]
-    assert generations["legacy"]["schemas"] == {"v1": 1}
-    assert generations["repro-0.9.0"]["schemas"] == {"v2": 1}
+    assert generations["ab"] == {"entries": 1, "bytes": legacy.stat().st_size,
+                                 "current": False}
+    assert generations["repro-0.9.0"]["entries"] == 1
+    assert not generations["repro-0.9.0"]["current"]
     current = [g for g in generations.values() if g["current"]]
     assert len(current) == 1 and current[0]["entries"] == 1
 

@@ -192,8 +192,8 @@ def test_lanes_off_by_default():
 def test_kill_switch_wins_everywhere(monkeypatch, tmp_path):
     """No environment knob turns the shortcut off or changes a result.
 
-    Tracing, cold machines, no calibration memo, segmented execution
-    and a chunk size each leave the transmission and its L1 hit count
+    Tracing, cold machines, no calibration memo and segmented execution
+    each leave the transmission and its L1 hit count
     exactly as the default run has them.
     """
     kwargs = dict(spec="mesi-es", seed=7, calibration_samples=120)
@@ -209,7 +209,6 @@ def test_kill_switch_wins_everywhere(monkeypatch, tmp_path):
         ("REPRO_WARM_WORKERS", "0"),
         ("REPRO_CALIBRATION_MEMO", "0"),
         ("REPRO_SEGMENT_CYCLES", "25000"),
-        ("REPRO_CHUNK_SIZE", "4"),
     ):
         with monkeypatch.context() as mp:
             mp.setenv(var, value)
@@ -219,15 +218,13 @@ def test_kill_switch_wins_everywhere(monkeypatch, tmp_path):
         assert l1_hits(result) == l1_hits(baseline), var
 
 
-def test_env_width_enables_lanes(monkeypatch):
+def test_env_width_enables_lanes():
     """The runner's width is ``jobs`` and its chunking ``chunk_size``;
     neither the environment nor an option selects an engine."""
-    monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
     assert Runner(jobs=4).jobs == 4
     assert Runner(jobs=0).jobs == (os.cpu_count() or 1)
     assert Runner().chunk_size is None
-    monkeypatch.setenv("REPRO_CHUNK_SIZE", "4")
-    assert Runner().chunk_size == 4
+    assert Runner(chunk_size=4).chunk_size == 4
     assert not hasattr(Runner(), "lanes")
 
 

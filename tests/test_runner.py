@@ -121,9 +121,10 @@ def test_cache_salt_invalidates(tmp_path):
 
 
 @pytest.mark.parametrize("junk", [
-    b"not a pickle",   # UnpicklingError
-    b"garbage\n",      # ValueError (pickle GET opcode on a non-int line)
-    b"",               # EOFError
+    b"not a pickle",          # no entry magic
+    b"garbage\n",             # no entry magic
+    b"",                      # no entry magic
+    b"RPC2\x00not a pickle",  # entry magic, UnpicklingError
 ])
 def test_cache_corrupt_entry_is_miss_and_deleted(tmp_path, junk):
     cache = ResultCache(tmp_path, salt="s")
@@ -412,16 +413,15 @@ def test_fig8_parallel_byte_identical_to_serial(tmp_path):
 
 
 def test_fig8_spec_path_matches_legacy_run():
-    from repro.experiments import fig8_bandwidth
+    """The spec is the only way in: the old keyword form is gone."""
+    from repro.experiments import REGISTRY, fig8_bandwidth
 
+    info = REGISTRY["fig8"]
+    with pytest.raises(TypeError):
+        info.run(seed=3, bits=20)
+    assert not hasattr(fig8_bandwidth, "run")
     spec = fig8_small_spec()
-    via_spec = fig8_bandwidth.run(spec)
-    with pytest.warns(DeprecationWarning):
-        legacy = fig8_bandwidth.run(
-            seed=3, bits=20, rates=(400.0, 1000.0),
-            scenarios=["RExclc-LSharedb", "RExclc-LExclb"],
-        )
-    assert via_spec == legacy
+    assert info.run(spec) == info.collect(spec, Runner(jobs=1).run(spec).values)
 
 
 # -- registry -------------------------------------------------------------
@@ -446,9 +446,12 @@ def test_registry_drivers_expose_unified_api():
     for info in REGISTRY.values():
         module = info.load()
         for attr in ("NAME", "SUMMARY", "POINT_FN", "point", "build_spec",
-                     "spec_from_args", "collect", "run", "render",
-                     "add_arguments", "main"):
+                     "spec_from_args", "collect", "render",
+                     "add_arguments"):
             assert hasattr(module, attr), f"{info.module} lacks {attr}"
+        # run/main are the registry's, once, for every driver
+        for attr in ("run", "main"):
+            assert not hasattr(module, attr), f"{info.module} keeps {attr}"
         assert module.NAME == info.name
 
 

@@ -3,7 +3,7 @@
 Locks the API-facing behavior of the scenario matrix: registry
 contents, matrix layout (including the undefined and expected-dead
 cells), spec overlay/conflict rules on :class:`SessionConfig`, and the
-deprecation shims the migration left behind.
+removal of the pre-spec migration forms.
 """
 
 import pytest
@@ -103,7 +103,7 @@ def test_expected_dead_cells_are_registered_but_flagged():
 
 
 def test_spec_overlays_machine_protocol_and_topology():
-    config = SessionConfig(spec="dir-ostate", scenario=None)
+    config = SessionConfig(spec="dir-ostate")
     assert config.machine.protocol == "moesi"
     assert config.machine.coherence == "directory"
     assert config.sharing == "explicit-rw"
@@ -144,43 +144,41 @@ def test_config_without_spec_or_scenario_raises():
         SessionConfig()
 
 
-# -- deprecation shims ------------------------------------------------
+# -- removed migration forms --------------------------------------------
 
 
 def test_legacy_scenario_keyword_warns():
-    with pytest.warns(DeprecationWarning, match="scenario=.*deprecated"):
-        config = SessionConfig(scenario=TABLE_I[0])
+    """``SessionConfig(scenario=...)`` is gone: ``scenario`` is derived."""
+    with pytest.raises(TypeError, match="scenario"):
+        SessionConfig(scenario=TABLE_I[0])
+    config = SessionConfig(spec=TABLE_I[0].name)
     assert config.scenario == TABLE_I[0]
 
 
 def test_bare_scenario_in_spec_slot_warns():
-    with pytest.warns(DeprecationWarning, match="expects a.*ScenarioSpec"):
-        config = SessionConfig(spec=TABLE_I[0])
-    assert config.scenario == TABLE_I[0]
+    with pytest.raises(ConfigError, match="needs spec="):
+        SessionConfig(spec=TABLE_I[0])
 
 
 def test_run_transmission_with_bare_scenario_warns():
     from repro.channel.session import run_transmission
 
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        result = run_transmission(TABLE_I[0], [1, 0, 1], seed=3)
-    assert result.accuracy == 1.0
+    with pytest.raises(ConfigError, match="needs spec="):
+        run_transmission(TABLE_I[0], [1, 0, 1], seed=3)
 
 
 def test_legacy_shims_land_on_the_resolved_configuration():
-    """The deprecated entry forms warn AND end up exactly where the
-    modern resolve_spec path lands."""
+    """Every removed form raises; the registered name is the one path."""
     modern = SessionConfig(spec=resolve_spec(TABLE_I[0].name))
-    with pytest.warns(DeprecationWarning, match="scenario=.*deprecated"):
-        legacy = SessionConfig(scenario=TABLE_I[0])
-    with pytest.warns(DeprecationWarning, match="expects a.*ScenarioSpec"):
-        bare = SessionConfig(spec=TABLE_I[0])
-    assert legacy.scenario == modern.scenario == bare.scenario
-
-    # resolve_spec wraps bare legacy inputs into ad-hoc specs itself
-    wrapped = resolve_spec(TABLE_I[0])
-    assert isinstance(wrapped, ScenarioSpec)
-    assert wrapped.scenario == TABLE_I[0]
+    assert modern.scenario == TABLE_I[0]
+    assert isinstance(modern.spec, ScenarioSpec)
+    with pytest.raises(TypeError):
+        SessionConfig(scenario=TABLE_I[0])
+    with pytest.raises(ConfigError):
+        SessionConfig(spec=TABLE_I[0])
+    # resolve_spec no longer wraps bare Scenario objects
+    with pytest.raises(ConfigError, match="registered scenario= name"):
+        resolve_spec(TABLE_I[0])
 
 
 def test_execute_point_legacy_scenario_routes_through_resolve_spec(

@@ -419,6 +419,21 @@ def test_driver_submission_and_api_errors(service):
     assert health == {"status": "ok"}
 
 
+def test_submit_rejects_bad_failure_policy(service):
+    """A malformed or negative retry budget is the client's error (400),
+    not a server error and not a job that runs nothing."""
+    client = ServiceClient(service.base_url)
+    spec = grid(SQUARE, [1, 2]).to_json()
+    for policy in ({"retries": "x"}, {"retries": -1}, {"timeout": 0},
+                   {"timeout": "soon"}):
+        status, body = client._request(
+            "POST", "/jobs", payload={"spec": spec, **policy}
+        )
+        assert status == 400, policy
+        assert "failure policy" in json.loads(body)["error"]
+    assert client.jobs() == []
+
+
 def test_decode_entry_round_trips_point_blob(service):
     """The /points/<i> blob is the cache's entry framing, verbatim."""
     client = ServiceClient(service.base_url)
