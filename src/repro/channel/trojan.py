@@ -132,6 +132,13 @@ def worker_program(
         needed = _THREADS_NEEDED
         mark = cpu.mark
         resume = cursor
+        # The active/writer decision is a pure function of the (frozen)
+        # pair, so it is recomputed only when the controller installs a
+        # new pair object -- not on every poll (the LineState-keyed
+        # lookup costs an Enum.__hash__ per call).  Starts as the
+        # decision for None (idle).
+        last_pair = None
+        active = writer = False
         while True:
             if resume is not None:
                 # Re-drive: replay the parked iteration's poll verbatim
@@ -146,12 +153,16 @@ def worker_program(
             mark((running, pair))
             if not running:
                 break
-            if (
-                pair is not None
-                and role_location is pair.location
-                and role_index < needed[pair.state]
-            ):
-                if role_index == 0 and pair.state is owned:
+            if pair is not last_pair:
+                last_pair = pair
+                active = (
+                    pair is not None
+                    and role_location is pair.location
+                    and role_index < needed[pair.state]
+                )
+                writer = active and role_index == 0 and pair.state is owned
+            if active:
+                if writer:
                     # Re-dirty at the idle cadence, not the spin one: an
                     # O-line store is a full RFO, and spinning RFOs
                     # congest the ring enough to push the spy's samples

@@ -23,9 +23,8 @@ from repro.sim.events import AccessPath
 from repro.sim.rng import RngStreams
 from repro.sim.stats import StatsRegistry
 
-#: The four (location, state) bands of the paper — membership test used
-#: on the per-op _finish path instead of the AccessPath property (which
-#: costs a descriptor call plus a tuple build per access).
+#: The four (location, state) bands of the paper — the paths that
+#: timing obfuscation (Section VIII-E) applies to in _finish.
 _COHERENCE_BANDS = frozenset({
     AccessPath.LOCAL_SHARED,
     AccessPath.LOCAL_EXCL,
@@ -149,7 +148,7 @@ class Machine:
         self.stats = stats if stats is not None else StatsRegistry()
         self.dram: dict[int, int] = {}
         self.obfuscation: ObfuscationPolicy | None = None
-        self._jitter_rng = self.rng.get("machine.jitter")
+        self._bind_rng()
         # -- bound hot-path state ---------------------------------------
         # Every load/store/flush used to pay an f-string format plus a
         # string-dict probe per stats sample and a dict rebuild per
@@ -292,7 +291,20 @@ class Machine:
         self.stats.reset()
         if rng is not None:
             self.rng = rng
-        self._jitter_rng = self.rng.get("machine.jitter")
+        self._bind_rng()
+
+    def _bind_rng(self) -> None:
+        """Bind the jitter stream and its two per-access samplers.
+
+        ``sigma * standard_normal()`` is bit-identical to
+        ``normal(0.0, sigma)`` (numpy computes ``loc + scale * z``) and
+        skips its argument handling; tests/test_golden_determinism.py
+        pins that identity.  Checkpoint restore sets the stream's
+        bit-generator state in place, so the bound methods stay valid.
+        """
+        rng = self._jitter_rng = self.rng.get("machine.jitter")
+        self._std_normal = rng.standard_normal
+        self._uniform = rng.random
 
     # ------------------------------------------------------------------
     # checkpoint support (see repro.checkpoint)
@@ -439,10 +451,9 @@ class Machine:
             latency, counter = self._l1_hit_info
             noise = self._noise
             if noise.enabled:
-                rng = self._jitter_rng
-                latency += rng.normal(0.0, noise.sigma)
-                if rng.random() < noise.tail_probability:
-                    latency += rng.exponential(noise.tail_scale)
+                latency += noise.sigma * self._std_normal()
+                if self._uniform() < noise.tail_probability:
+                    latency += self._jitter_rng.exponential(noise.tail_scale)
             counter.value += 1
             return line.value, (latency if latency > 1.0 else 1.0), _L1_HIT
         if self._dir_mode:
@@ -963,14 +974,6 @@ class Machine:
         self._qpi_register(now, 1.0)
         return self.config.home_hop_cycles
 
-    def _band_latency(self, core_id: int, path: AccessPath) -> float:
-        """Band base latency under the active mitigation flags.
-
-        Just a table lookup: the llc_direct_e_response merge (Section
-        VIII-E) is folded into ``_band_table`` at construction.
-        """
-        return self._band_table[path]
-
     def _finish(self, core_id: int, base_latency: float, path: AccessPath) -> float:
         obf = self.obfuscation
         if (
@@ -982,12 +985,11 @@ class Machine:
         # Inlined NoiseModel.sample (one call per executed memory op);
         # draw order and clamping match the model exactly.
         noise = self._noise
-        rng = self._jitter_rng
         if not noise.enabled:
             return base_latency if base_latency > 1.0 else 1.0
-        value = base_latency + rng.normal(0.0, noise.sigma)
-        if rng.random() < noise.tail_probability:
-            value += rng.exponential(noise.tail_scale)
+        value = base_latency + noise.sigma * self._std_normal()
+        if self._uniform() < noise.tail_probability:
+            value += self._jitter_rng.exponential(noise.tail_scale)
         return value if value > 1.0 else 1.0
 
     # ------------------------------------------------------------------

@@ -13,7 +13,10 @@ the paper's trojan and spy do.
 The inner loop is amortized O(1) per event: liveness is a counter
 maintained at spawn/exit (not a scan over the thread list, which grows
 with every transmission on a long-lived session), name lookup is a dict,
-and the event counter is a bound handle flushed once per run.
+and the event counter is a bound handle flushed once per run.  A thread
+whose new clock is still strictly the earliest runs again without a heap
+push/pop (run-ahead), which is the common case for a thread spinning
+on short delays.
 """
 
 from __future__ import annotations
@@ -139,10 +142,6 @@ class Simulator:
     def _push(self, thread: SimThread) -> None:
         heapq.heappush(self._heap, (thread.clock, next(self._seq), thread))
 
-    def _live_non_daemon(self) -> int:
-        """Number of runnable non-daemon threads (O(1))."""
-        return self._live_count
-
     def run(
         self,
         max_cycles: float | None = None,
@@ -162,7 +161,8 @@ class Simulator:
             Abort (raising :class:`SimulationError`) if the global clock
             passes this value — a guard against runaway programs.
         max_events:
-            Abort after this many executed ops.
+            Abort (raising :class:`SimulationError`) when op
+            ``max_events + 1`` is about to execute.
         stop_when:
             Optional predicate checked after every event; return True to
             stop early (e.g. when a decoder has seen enough samples).
@@ -196,18 +196,36 @@ class Simulator:
         event_limit = float("inf") if max_events is None else max_events
         cycle_limit = float("inf") if max_cycles is None else max_cycles
         pause_limit = float("inf") if pause_at is None else pause_at
+        # Run-ahead: a thread whose new clock is strictly below every
+        # heap entry is kept here and resumed next without a heap round
+        # trip.  Exact: a strictly lower clock cannot tie on (clock,
+        # seq), so the heap would have popped this thread next anyway
+        # (stale or dead entries at the top only make the test fail).
+        # A carried thread is not on the heap, so every exit pushes it
+        # back (the finally below) and stop_when sees the full heap.
+        carried = None
         try:
-            while heap:
+            while True:
                 if self._live_count == 0:
                     break
-                clock, _seq, thread = heappop(heap)
-                if thread.state is not _READY:
-                    continue
-                tclock = thread.clock
-                if clock < tclock:
-                    # Stale heap entry (thread was rescheduled); reinsert.
-                    heappush(heap, (tclock, seq_next(), thread))
-                    continue
+                if carried is not None:
+                    thread = carried
+                    carried = None
+                    if thread.state is not _READY:
+                        continue
+                else:
+                    if not heap:
+                        raise DeadlockError(
+                            "event heap empty but non-daemon threads remain READY"
+                        )
+                    clock, _seq, thread = heappop(heap)
+                    if thread.state is not _READY:
+                        continue
+                    tclock = thread.clock
+                    if clock < tclock:
+                        # Stale heap entry (thread was rescheduled); reinsert.
+                        heappush(heap, (tclock, seq_next(), thread))
+                        continue
                 # -- inlined SimThread.step() --------------------------
                 # send(None) on a fresh generator is next(), so one send
                 # covers both the first and every later resume.
@@ -237,6 +255,13 @@ class Simulator:
                         f"thread {thread.name!r} yielded {op!r}; "
                         "expected a simulator op"
                     )
+                if events >= event_limit:
+                    # Op max_events + 1 is refused unexecuted; the run
+                    # aborts mid-event and cannot be resumed.
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} "
+                        f"(global clock {global_clock:.0f})"
+                    )
                 result = thread.executor(thread, op)
                 # -- inlined SimThread.complete() ----------------------
                 tclock = result.timestamp
@@ -249,13 +274,11 @@ class Simulator:
                     # hoisted local.
                     global_clock = tclock
                     self.global_clock = tclock
-                heappush(heap, (tclock, seq_next(), thread))
+                if heap and heap[0][0] <= tclock:
+                    heappush(heap, (tclock, seq_next(), thread))
+                else:
+                    carried = thread
                 events += 1
-                if events >= event_limit:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"(global clock {global_clock:.0f})"
-                    )
                 if global_clock > cycle_limit:
                     raise SimulationError(
                         f"exceeded max_cycles={max_cycles}"
@@ -263,14 +286,15 @@ class Simulator:
                 if global_clock >= pause_limit:
                     paused = True
                     break
-                if stop_when is not None and stop_when(self):
-                    break
-            else:
-                if self._live_count > 0:
-                    raise DeadlockError(
-                        "event heap empty but non-daemon threads remain READY"
-                    )
+                if stop_when is not None:
+                    if carried is not None:
+                        self._push(carried)
+                        carried = None
+                    if stop_when(self):
+                        break
         finally:
+            if carried is not None:
+                self._push(carried)
             self._events_counter.value += events
         if kill_daemons:
             self.kill_daemons()
