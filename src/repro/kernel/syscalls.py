@@ -10,6 +10,7 @@ channel if the trojan ever wrote to the shared page.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Generator
 from typing import Any
 
@@ -382,23 +383,50 @@ class Kernel:
         return latency + fault_cost
 
     def _do_burst(self, thread: SimThread, op: Burst, now: float) -> float:
+        """Run a burst's accesses through ``machine.load``/``store``.
+
+        The write decisions are drawn up front in one ``random(count)``
+        call, which yields the same values as ``count`` scalar
+        ``random()`` draws.  Translation is redone only when an access
+        crosses into another page (a burst touches one or two), and an
+        unmapped page still raises ``PageFaultError`` at its first
+        access.  ``load``/``store`` are looked up on the machine
+        instance once per burst, so trace taps, detection monitors and
+        class-level wrappers see every access.
+        """
+        count = op.count
+        if count <= 0:
+            return 0.0
+        if op.write_ratio > 0:
+            writes = (self._burst_rng.random(count) < op.write_ratio).tolist()
+        else:
+            writes = [False] * count
         process: Process = thread.process
-        total = 0.0
+        machine = self.machine
+        load = machine.load
+        store = machine.store
+        core_id = thread.core_id
+        stride = op.stride
+        # Overlapped execution: mlp outstanding requests hide a
+        # proportional share of each access's latency.
+        mlp = op.mlp if op.mlp > 1.0 else 1.0
         addr = op.vaddr
-        for _i in range(op.count):
-            paddr = process.translate(addr) if process is not None else addr
-            if op.write_ratio > 0 and self._burst_rng.random() < op.write_ratio:
-                latency, _path = self.machine.store(
-                    thread.core_id, paddr, 1, now + total
-                )
+        if process is None:
+            page_lo, page_hi, delta = -math.inf, math.inf, 0
+        else:
+            page_lo = page_hi = delta = 0  # empty: first access translates
+        total = 0.0
+        for write in writes:
+            if not page_lo <= addr < page_hi:
+                delta = process.translate(addr) - addr
+                page_lo = addr - addr % PAGE_SIZE
+                page_hi = page_lo + PAGE_SIZE
+            if write:
+                latency, _path = store(core_id, addr + delta, 1, now + total)
             else:
-                _value, latency, _path = self.machine.load(
-                    thread.core_id, paddr, now + total
-                )
-            # Overlapped execution: mlp outstanding requests hide a
-            # proportional share of each access's latency.
-            total += latency / max(1.0, op.mlp)
-            addr += op.stride
+                _value, latency, _path = load(core_id, addr + delta, now + total)
+            total += latency / mlp
+            addr += stride
         return total
 
     def _purge_frame_from_caches(self, pfn: int) -> None:

@@ -80,10 +80,13 @@ class SetAssocCache(Generic[LineT]):
         base = addr & ~63
         bucket = self._sets[(base >> 6) & self._set_mask]
         victim = None
-        if base not in bucket and len(bucket) >= self.assoc:
+        if base in bucket:
+            # Re-inserting a resident key keeps its slot: move it to MRU.
+            # A new key is appended at MRU already.
+            bucket.move_to_end(base)
+        elif len(bucket) >= self.assoc:
             _victim_addr, victim = bucket.popitem(last=False)
         bucket[base] = record
-        bucket.move_to_end(base)
         return victim
 
     def remove(self, addr: int) -> LineT | None:

@@ -31,25 +31,17 @@ class CoherenceState(enum.Enum):
     FORWARD = "F"   # MESIF: designated forwarder among sharers
     OWNED = "O"     # MOESI: dirty line shared with other caches
 
-    @property
-    def readable(self) -> bool:
-        """Whether a core holding this state may read without a request."""
-        return self is not CoherenceState.INVALID
-
-    @property
-    def writable(self) -> bool:
-        """Whether a core holding this state may write without a request."""
-        return self is CoherenceState.MODIFIED
-
-    @property
-    def dirty(self) -> bool:
-        """Whether the copy may differ from the LLC/DRAM copy."""
-        return self in (CoherenceState.MODIFIED, CoherenceState.OWNED)
-
-    @property
-    def sole_copy(self) -> bool:
-        """Whether the protocol guarantees no other private copy exists."""
-        return self in (CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE)
+    def __init__(self, code: str) -> None:
+        # Plain member attributes rather than properties: the miss path
+        # reads them on every fill, invalidation and write-back.
+        #: Whether a core holding this state may read without a request.
+        self.readable = code != "I"
+        #: Whether a core holding this state may write without a request.
+        self.writable = code == "M"
+        #: Whether the copy may differ from the LLC/DRAM copy.
+        self.dirty = code in ("M", "O")
+        #: Whether the protocol guarantees no other private copy exists.
+        self.sole_copy = code in ("M", "E")
 
 
 @dataclass(slots=True)
@@ -57,15 +49,14 @@ class PrivateLine:
     """One line in a private (L1/L2) cache.
 
     Slotted: fills and state transitions allocate/mutate these on every
-    cache miss, and slot access skips the per-instance dict.
+    cache miss, and slot access skips the per-instance dict.  *addr* is
+    a line base address; the coherence controller only ever constructs
+    lines with an aligned base, so the constructor does not realign it.
     """
 
     addr: int
     state: CoherenceState
     value: int = 0
-
-    def __post_init__(self) -> None:
-        self.addr = line_addr(self.addr)
 
 
 @dataclass(slots=True)
@@ -74,6 +65,9 @@ class LlcLine:
 
     Attributes
     ----------
+    addr:
+        Line base address (already aligned by the caller, as for
+        :class:`PrivateLine`).
     core_valid:
         Global core ids whose private hierarchy currently holds the line
         (the paper's core-valid-bits vector).
@@ -99,9 +93,6 @@ class LlcLine:
     forwarder: int | None = None
     data_valid: bool = True
     dirty: bool = False
-
-    def __post_init__(self) -> None:
-        self.addr = line_addr(self.addr)
 
     @property
     def sharer_count(self) -> int:

@@ -32,9 +32,11 @@ _COHERENCE_BANDS = frozenset({
     AccessPath.REMOTE_EXCL,
 })
 
-#: Module-level alias for the load() L1-hit shortcut (skips the enum
-#: class attribute lookup on the hottest path).
+#: Module-level aliases for the access paths (skip the enum class
+#: attribute lookup on the hot paths).
 _L1_HIT = AccessPath.L1_HIT
+_L2_HIT = AccessPath.L2_HIT
+_DRAM = AccessPath.DRAM
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,21 @@ class Machine:
             for path in self._band_table
         }
         self._l1_hit_info = self._path_info[_L1_HIT]
+        # Miss-path info, bound per path so a miss selects its tuple by
+        # branch instead of hashing an AccessPath (Enum.__hash__ is a
+        # Python-level call): (path, band-aware base latency, bound load
+        # counter, RFO latency = unmitigated base + store upgrade).
+        upgrade = profile.store_upgrade
+        info = {
+            path: (path, latency, counter, self._base_latency[path] + upgrade)
+            for path, (latency, counter) in self._path_info.items()
+        }
+        self._l2_hit_info = info[AccessPath.L2_HIT]
+        self._local_shared_info = info[AccessPath.LOCAL_SHARED]
+        self._local_excl_info = info[AccessPath.LOCAL_EXCL]
+        self._remote_shared_info = info[AccessPath.REMOTE_SHARED]
+        self._remote_excl_info = info[AccessPath.REMOTE_EXCL]
+        self._dram_info = info[AccessPath.DRAM]
         self._store_hit_counter = self.stats.counter_handle("machine.store.hit_m")
         self._store_rfo_counter = self.stats.counter_handle("machine.store.rfo")
         self._flush_counter = self.stats.counter_handle("machine.flush")
@@ -264,8 +281,10 @@ class Machine:
         * every private cache, LLC data array and directory is emptied;
         * DRAM contents are dropped (cleared in place — sockets hold a
           reference to the same dict);
-        * the interconnect windows and the stats registry are cleared in
-          place, so bound handles stay valid;
+        * every interconnect resource is rewound to its construction
+          state (window, running traffic total and index mode) and the
+          stats registry is cleared, both in place, so bound handles
+          stay valid;
         * the RNG registry is replaced by *rng* (fresh streams for the
           next point's seed) and the jitter stream is re-bound.
         """
@@ -287,7 +306,7 @@ class Machine:
         self._dir_trace = None
         self.dram.clear()
         self.obfuscation = None
-        self.interconnect.reset()
+        self.interconnect.rewind()
         self.stats.reset()
         if rng is not None:
             self.rng = rng
@@ -456,88 +475,81 @@ class Machine:
                     latency += self._jitter_rng.exponential(noise.tail_scale)
             counter.value += 1
             return line.value, (latency if latency > 1.0 else 1.0), _L1_HIT
-        if self._dir_mode:
-            return self._directory_load(core_id, paddr, now)
+        # L1 missed, so this is the one L2 probe; the snoop and directory
+        # L2-hit paths are identical as well.
         home = self._socket_by_core[core_id]
-        line, _level = home.private_lookup(core, base)
+        line = home.l2_lookup(core, base)
         if line is not None:
-            # L1 missed above, so a private hit is an L2 hit.
-            path = AccessPath.L2_HIT
-            base_lat, counter = self._path_info[path]
-            latency = self._finish(core_id, base_lat, path)
+            _path, base_lat, counter, _rfo = self._l2_hit_info
+            latency = self._finish(core_id, base_lat, _L2_HIT)
             counter.value += 1
-            return line.value, latency, path
+            return line.value, latency, _L2_HIT
+        if self._dir_mode:
+            return self._directory_load(core_id, core, home, base, now)
 
+        # From here on the core holds no copy, so fills install without
+        # probing again (SocketDomain.private_install).
         home_sid = home.socket_id
         ring_register = self._ring_register[home_sid]
         contention = ring_register(now, 1.0)
-        home_hop = self._home_agent_hop(home_sid, base, now)
+        home_hop = (
+            self._home_agent_hop(home_sid, base, now)
+            if self._home_agent else 0.0
+        )
         service = home.read(base, requester_id=core_id)
         if service is not None:
-            path = (
-                AccessPath.LOCAL_EXCL
-                if service.band == "excl"
-                else AccessPath.LOCAL_SHARED
-            )
-            if path is AccessPath.LOCAL_EXCL:
+            value = service.value
+            if service.band == "excl":
+                info = self._local_excl_info
                 # Owner-forwarded data crosses the ring a second time
                 # (LLC -> owner -> requester), so E-state services are
                 # twice as sensitive to ring congestion — the asymmetry
                 # the paper observes under kernel-build noise.
                 contention += ring_register(now, 1.0)
-            home.grant_to_local(service.entry, core, service.value)
-            base_lat, counter = self._path_info[path]
-            latency = (base_lat + home_hop + self._queueing(contention))
-            latency = self._finish(core_id, latency, path)
-            counter.value += 1
-            return service.value, latency, path
-
-        # Probe the other sockets over QPI before falling back to DRAM
-        # (Section VI-B).
-        for remote in self.sockets:
-            if remote.socket_id == home_sid:
-                continue
-            remote_service = remote.read(base, requester_id=None)
-            if remote_service is None:
-                continue
-            path = (
-                AccessPath.REMOTE_EXCL
-                if remote_service.band == "excl"
-                else AccessPath.REMOTE_SHARED
-            )
-            remote_ring = self._ring_register[remote.socket_id]
-            contention += self._qpi_register(now, 1.0)
-            contention += remote_ring(now, 1.0)
-            if path is AccessPath.REMOTE_EXCL:
-                # Remote owner-forward: a second remote-ring crossing and
-                # a second QPI message leg.
-                contention += remote_ring(now, 1.0)
+            else:
+                info = self._local_shared_info
+            home.grant_to_local(service.entry, core, value)
+        else:
+            # Probe the other sockets over QPI before falling back to
+            # DRAM (Section VI-B).
+            for remote in self.sockets:
+                if remote is home:
+                    continue
+                remote_service = remote.read(base, requester_id=None)
+                if remote_service is None:
+                    continue
+                excl = remote_service.band == "excl"
+                remote_ring = self._ring_register[remote.socket_id]
                 contention += self._qpi_register(now, 1.0)
-            value = remote_service.value
-            # The line is now present in (at least) two sockets: install a
-            # shared copy locally; neither socket keeps exclusive rights.
-            entry = home.llc_fill(base, value)
-            entry.core_valid.add(core_id)
-            entry.owner = None
-            home.private_fill(core, base, CoherenceState.SHARED, value)
-            base_lat, counter = self._path_info[path]
-            latency = (base_lat + home_hop + self._queueing(contention))
-            latency = self._finish(core_id, latency, path)
-            counter.value += 1
-            return value, latency, path
-
-        # DRAM fill; requester gets the line in E state (sole copy).
-        value = self.dram.get(base, 0)
-        contention += self._mem_register[home_sid](now, 1.0)
-        entry = home.llc_fill(base, value)
-        home.grant_to_local(entry, core, value)
-        path = AccessPath.DRAM
-        base_lat, counter = self._path_info[path]
+                contention += remote_ring(now, 1.0)
+                if excl:
+                    # Remote owner-forward: a second remote-ring crossing
+                    # and a second QPI message leg.
+                    contention += remote_ring(now, 1.0)
+                    contention += self._qpi_register(now, 1.0)
+                    info = self._remote_excl_info
+                else:
+                    info = self._remote_shared_info
+                value = remote_service.value
+                # The line is now present in (at least) two sockets:
+                # install a shared copy locally; neither socket keeps
+                # exclusive rights.
+                entry = home.llc_fill(base, value)
+                entry.core_valid.add(core_id)
+                entry.owner = None
+                home.private_install(core, base, CoherenceState.SHARED, value)
+                break
+            else:
+                # DRAM fill; requester gets the line in E state (sole
+                # copy).
+                value = self.dram.get(base, 0)
+                contention += self._mem_register[home_sid](now, 1.0)
+                entry = home.llc_fill(base, value)
+                home.grant_to_local(entry, core, value)
+                info = self._dram_info
+        path, base_lat, counter, _rfo = info
         latency = self._finish(
-            core_id,
-            base_lat + home_hop + self._queueing(contention),
-            path,
-        )
+            core_id, base_lat + home_hop + self._queueing(contention), path)
         counter.value += 1
         return value, latency, path
 
@@ -565,17 +577,17 @@ class Machine:
         base = paddr & ~63
         home = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        profile = self.config.latency
         line, _level = home.private_lookup(core, base)
         if line is not None and line.state.writable:
             line.value = value
-            latency = self._finish(core_id, profile.l1_hit, AccessPath.L1_HIT)
+            latency = self._finish(
+                core_id, self.config.latency.l1_hit, _L1_HIT)
             self._store_hit_counter.value += 1
-            return latency, AccessPath.L1_HIT
+            return latency, _L1_HIT
 
         # Gather the latest value and where it came from, invalidating
         # every other copy in the system.
-        latest, source_path = self._gather_for_ownership(core_id, base, now)
+        latest, source = self._gather_for_ownership(core_id, home, base, now)
         if line is not None and line.state.readable:
             # Upgrade in place (e.g. E -> M, S -> M after invalidations).
             latest = line.value
@@ -584,40 +596,62 @@ class Machine:
         entry.owner = core_id
         entry.forwarder = None
         entry.dirty = True
-        home.private_fill(core, base, CoherenceState.MODIFIED, value)
+        self._own_line(home, core, line, base, value)
         entry.value = value
-        latency = self._base_latency[source_path] + profile.store_upgrade
-        latency = self._finish(core_id, latency, AccessPath.UNCACHED)
+        path, _lat, _counter, rfo_latency = source
+        latency = self._finish(core_id, rfo_latency, AccessPath.UNCACHED)
         self._store_rfo_counter.value += 1
-        return latency, source_path
+        return latency, path
+
+    @staticmethod
+    def _own_line(domain: SocketDomain, core: Core, line, base: int,
+                  value: int) -> None:
+        """Leave the storing core with the only copy, in M.
+
+        *line* is what the store's private lookup found.  Gathering
+        ownership invalidates only other cores' copies and LLC victims
+        of other addresses, so a found line is still in the core's L1
+        and L2 and is upgraded in place; otherwise the core holds no
+        copy and a new line is installed.
+        """
+        if line is not None:
+            line.state = CoherenceState.MODIFIED
+            line.value = value
+        else:
+            domain.private_install(core, base, CoherenceState.MODIFIED, value)
 
     def _gather_for_ownership(
-        self, core_id: int, base: int, now: float
-    ) -> tuple[int, AccessPath]:
-        home = self._socket_by_core[core_id]
+        self, core_id: int, home: SocketDomain, base: int, now: float
+    ) -> tuple[int, tuple]:
+        """Invalidate every other copy; returns (latest value, source info).
+
+        The source is one of the bound miss-path info tuples (DRAM when
+        no cache held the line).
+        """
         latest: int | None = None
-        source = AccessPath.DRAM
+        source = dram = self._dram_info
         self._ring_register[home.socket_id](now, 1.0)
         for domain in self.sockets:
             entry = domain.directory.get(base)
             if entry is None:
                 continue
-            is_home = domain.socket_id == home.socket_id
+            is_home = domain is home
             if entry.owner is not None and entry.owner != core_id:
                 owner_core = domain.core(entry.owner)
                 owner_line = domain.private_line(owner_core, base)
                 if owner_line is not None:
                     latest = owner_line.value
                 source = (
-                    AccessPath.LOCAL_EXCL if is_home else AccessPath.REMOTE_EXCL
+                    self._local_excl_info if is_home
+                    else self._remote_excl_info
                 )
             elif latest is None and entry.data_valid:
                 latest = entry.value
-                if source is AccessPath.DRAM:
+                if source is dram:
                     source = (
-                        AccessPath.LOCAL_SHARED
+                        self._local_shared_info
                         if is_home
-                        else AccessPath.REMOTE_SHARED
+                        else self._remote_shared_info
                     )
             for other_id in list(entry.core_valid):
                 if other_id == core_id:
@@ -678,10 +712,6 @@ class Machine:
     # Sharer masks are conservative supersets (silent private evictions
     # leave stale bits); every path self-heals before trusting a bit.
 
-    def _dir_home_socket(self, base: int) -> int:
-        """Home socket of a line address (page-interleaved)."""
-        return (base >> 12) % self.config.n_sockets
-
     def _dir_entry_heal(self, entry: DirectoryEntry, core_id: int) -> None:
         """Drop the requester's stale claim on *entry*, if any.
 
@@ -695,30 +725,21 @@ class Machine:
             entry.state = DirectoryState.SHARED
 
     def _directory_load(
-        self, core_id: int, paddr: int, now: float
+        self, core_id: int, core: Core, domain: SocketDomain, base: int,
+        now: float,
     ) -> tuple[int, float, AccessPath]:
-        base = paddr & ~63
-        domain = self._socket_by_core[core_id]
-        core = self.cores[core_id]
-        line, _level = domain.private_lookup(core, base)
-        if line is not None:
-            # load() already served L1 hits, so this is an L2 hit.
-            path = AccessPath.L2_HIT
-            base_lat, counter = self._path_info[path]
-            latency = self._finish(core_id, base_lat, path)
-            counter.value += 1
-            return line.value, latency, path
-
+        """An LLC-level load miss (load() already probed L1 and L2)."""
         req_sid = domain.socket_id
         contention = self._ring_register[req_sid](now, 1.0)
-        home_sid = self._dir_home_socket(base)
+        # Home socket of the line (page-interleaved).
+        home_sid = (base >> 12) % self.config.n_sockets
         hop = 0.0
         if home_sid != req_sid:
             # The directory consult itself crosses QPI to the home node.
             contention += self._qpi_register(now, 1.0)
             hop = self.config.home_hop_cycles
         entry = self.home_directory.get(base)
-        trace = self._dir_trace
+        info = None
         if entry is not None:
             self._dir_entry_heal(entry, core_id)
             owner = entry.owner()
@@ -749,80 +770,63 @@ class Machine:
                     entry.value = value
                     entry.add_sharer(owner)
                     entry.add_sharer(core_id)
-                    domain.private_fill(
+                    domain.private_install(
                         core, base, CoherenceState.SHARED, value)
-                    path = (
-                        AccessPath.LOCAL_EXCL
+                    info = (
+                        self._local_excl_info
                         if osid == req_sid
-                        else AccessPath.REMOTE_EXCL
+                        else self._remote_excl_info
                     )
-                    if trace is not None:
-                        trace(now, "owner_forward", base, entry)
-                    base_lat, counter = self._path_info[path]
-                    latency = self._finish(
-                        core_id,
-                        base_lat + hop + self._queueing(contention),
-                        path,
-                    )
-                    counter.value += 1
-                    self._dir_owner_fwd_counter.value += 1
-                    return value, latency, path
-                # Stale owner: its copy evicted silently (a dirty victim
-                # already reached DRAM via the L2-victim path).  Heal to
-                # home-side service.
-                entry.drop_sharer(owner)
-                entry.owner_id = None
-                entry.state = DirectoryState.SHARED
-            if entry.sharers:
+                    kind, kind_counter = (
+                        "owner_forward", self._dir_owner_fwd_counter)
+                else:
+                    # Stale owner: its copy evicted silently (a dirty
+                    # victim already reached DRAM via the L2-victim
+                    # path).  Heal to home-side service.
+                    entry.drop_sharer(owner)
+                    entry.owner_id = None
+                    entry.state = DirectoryState.SHARED
+            if info is None and entry.sharers:
                 # Home-side (memory-side) service of a shared line: the
                 # band is set by where the *home* is, not the sharers.
                 value = entry.value
                 entry.state = DirectoryState.SHARED
                 entry.owner_id = None
                 entry.add_sharer(core_id)
-                domain.private_fill(core, base, CoherenceState.SHARED, value)
-                path = (
-                    AccessPath.LOCAL_SHARED
+                domain.private_install(
+                    core, base, CoherenceState.SHARED, value)
+                info = (
+                    self._local_shared_info
                     if home_sid == req_sid
-                    else AccessPath.REMOTE_SHARED
+                    else self._remote_shared_info
                 )
-                if trace is not None:
-                    trace(now, "home_service", base, entry)
-                base_lat, counter = self._path_info[path]
-                latency = self._finish(
-                    core_id,
-                    base_lat + hop + self._queueing(contention),
-                    path,
-                )
-                counter.value += 1
-                self._dir_home_counter.value += 1
-                return value, latency, path
-
-        # No entry or no live copies: memory fill, requester granted E.
-        if entry is not None and entry.dirty:
-            value = self.dram.get(base, entry.value)
-        else:
-            value = self.dram.get(base, 0)
-        contention += self._mem_register[home_sid](now, 1.0)
-        if entry is None:
-            entry = DirectoryEntry(addr=base)
-            self.home_directory[base] = entry
-        entry.state = DirectoryState.EXCLUSIVE
-        entry.sharers = 1 << core_id
-        entry.owner_id = None
-        entry.value = value
-        domain.private_fill(core, base, CoherenceState.EXCLUSIVE, value)
-        path = AccessPath.DRAM
-        if trace is not None:
-            trace(now, "memory_fill", base, entry)
-        base_lat, counter = self._path_info[path]
+                kind, kind_counter = "home_service", self._dir_home_counter
+        if info is None:
+            # No entry or no live copies: memory fill, requester granted
+            # E.
+            if entry is not None and entry.dirty:
+                value = self.dram.get(base, entry.value)
+            else:
+                value = self.dram.get(base, 0)
+            contention += self._mem_register[home_sid](now, 1.0)
+            if entry is None:
+                entry = DirectoryEntry(addr=base)
+                self.home_directory[base] = entry
+            entry.state = DirectoryState.EXCLUSIVE
+            entry.sharers = 1 << core_id
+            entry.owner_id = None
+            entry.value = value
+            domain.private_install(
+                core, base, CoherenceState.EXCLUSIVE, value)
+            info = self._dram_info
+            kind, kind_counter = "memory_fill", self._dir_fill_counter
+        if self._dir_trace is not None:
+            self._dir_trace(now, kind, base, entry)
+        path, base_lat, counter, _rfo = info
         latency = self._finish(
-            core_id,
-            base_lat + hop + self._queueing(contention),
-            path,
-        )
+            core_id, base_lat + hop + self._queueing(contention), path)
         counter.value += 1
-        self._dir_fill_counter.value += 1
+        kind_counter.value += 1
         return value, latency, path
 
     def _directory_store(
@@ -831,22 +835,22 @@ class Machine:
         base = paddr & ~63
         domain = self._socket_by_core[core_id]
         core = self.cores[core_id]
-        profile = self.config.latency
         line, _level = domain.private_lookup(core, base)
         if line is not None and line.state.writable:
             line.value = value
-            latency = self._finish(core_id, profile.l1_hit, AccessPath.L1_HIT)
+            latency = self._finish(
+                core_id, self.config.latency.l1_hit, _L1_HIT)
             self._store_hit_counter.value += 1
-            return latency, AccessPath.L1_HIT
+            return latency, _L1_HIT
 
         req_sid = domain.socket_id
         self._ring_register[req_sid](now, 1.0)
-        home_sid = self._dir_home_socket(base)
+        home_sid = (base >> 12) % self.config.n_sockets
         if home_sid != req_sid:
             self._qpi_register(now, 1.0)
         entry = self.home_directory.get(base)
         latest: int | None = None
-        source = AccessPath.DRAM
+        source = self._dram_info
         if entry is not None:
             self._dir_entry_heal(entry, core_id)
             owner = entry.owner()
@@ -861,18 +865,18 @@ class Machine:
                 if owner_line is not None:
                     latest = owner_line.value
                     source = (
-                        AccessPath.LOCAL_EXCL
+                        self._local_excl_info
                         if osid == req_sid
-                        else AccessPath.REMOTE_EXCL
+                        else self._remote_excl_info
                     )
                 elif entry.dirty:
                     latest = entry.value
             elif entry.sharers:
                 latest = entry.value
                 source = (
-                    AccessPath.LOCAL_SHARED
+                    self._local_shared_info
                     if home_sid == req_sid
-                    else AccessPath.REMOTE_SHARED
+                    else self._remote_shared_info
                 )
             elif entry.dirty:
                 latest = entry.value
@@ -899,13 +903,13 @@ class Machine:
         entry.owner_id = None
         entry.value = value
         entry.dirty = True
-        domain.private_fill(core, base, CoherenceState.MODIFIED, value)
+        self._own_line(domain, core, line, base, value)
         if self._dir_trace is not None:
             self._dir_trace(now, "rfo", base, entry)
-        latency = self._base_latency[source] + profile.store_upgrade
-        latency = self._finish(core_id, latency, AccessPath.UNCACHED)
+        path, _lat, _counter, rfo_latency = source
+        latency = self._finish(core_id, rfo_latency, AccessPath.UNCACHED)
         self._store_rfo_counter.value += 1
-        return latency, source
+        return latency, path
 
     def _directory_flush(
         self, core_id: int, paddr: int, now: float
@@ -965,9 +969,8 @@ class Machine:
         Charged on every LLC-miss transaction whose requester is not the
         line's home node; page-interleaved homes mean the same (location,
         state) pair splits into home-local and home-remote sub-bands.
+        Only called with home-agent mode on.
         """
-        if not self._home_agent:
-            return 0.0
         home_socket = (base // 4096) % self.config.n_sockets
         if home_socket == requester_socket:
             return 0.0

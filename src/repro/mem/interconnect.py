@@ -75,6 +75,17 @@ class Resource:
         self.saturation = saturation
         self.service_cycles = service_cycles
         self._events: deque[tuple[float, float]] = deque()
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Return to the construction state: no traffic at all.
+
+        Unlike :meth:`reset` (a phase boundary inside one run, which
+        keeps ``total_traffic`` and the index mode), this also zeroes
+        the running total and forgets the index mode, so a rewound
+        resource is indistinguishable from a new one.
+        """
+        self._events.clear()
         self.total_traffic = 0.0
         # Fast-path index: the times of every event still in ``_events``,
         # kept sorted, with a lazily-compacted head offset.  Only valid
@@ -92,11 +103,11 @@ class Resource:
     def _window_load(self, time: float) -> float:
         """Evict the expired prefix and return the load in the window.
 
-        This is the single definition of the window predicate shared by
-        :meth:`register` and :meth:`current_load`: traffic registered at
-        ``t`` counts iff the event is still retained (only the expired
-        prefix of the insertion-ordered log is ever dropped) and
-        ``time - window <= t <= time``.
+        This defines the window predicate for :meth:`current_load` and
+        :meth:`register` (whose common case repeats these steps inline):
+        traffic registered at ``t`` counts iff the event is still
+        retained (only the expired prefix of the insertion-ordered log
+        is ever dropped) and ``time - window <= t <= time``.
         """
         cutoff = time - self.window
         events = self._events
@@ -163,10 +174,45 @@ class Resource:
         out of time order (a batched burst registers accesses at future
         instants before other threads catch up), so the load is computed
         over events actually inside ``(time - window, time]``.
+
+        Every miss crosses one to four resources, so the common case --
+        the sorted index is live and *weight* matches it -- runs
+        :meth:`_window_load` and :meth:`_record` inline in this one
+        call, with the same eviction, count and insertion steps.  Every
+        other case calls the two helpers.
         """
-        load = self._window_load(time)
-        self._record(time, weight)
-        rho = min(load / self.saturation, self.RHO_CAP)
+        times = self._times
+        if times is not None and weight == self._weight:
+            cutoff = time - self.window
+            events = self._events
+            tpos = self._tpos
+            while events and events[0][0] < cutoff:
+                t = events.popleft()[0]
+                if times[tpos] == t:
+                    tpos += 1
+                else:
+                    del times[bisect_left(times, t, tpos)]
+            if tpos >= self._COMPACT_THRESHOLD:
+                del times[:tpos]
+                tpos = 0
+            self._tpos = tpos
+            count = (
+                bisect_right(times, time, tpos)
+                - bisect_left(times, cutoff, tpos)
+            )
+            load = count * weight if count else 0.0
+            events.append((time, weight))
+            self.total_traffic += weight
+            if not times or time >= times[-1]:
+                times.append(time)
+            else:
+                insort(times, time, tpos)
+        else:
+            load = self._window_load(time)
+            self._record(time, weight)
+        rho = load / self.saturation
+        if rho > self.RHO_CAP:
+            rho = self.RHO_CAP
         return self.service_cycles * rho / (1.0 - rho)
 
     def current_load(self, time: float) -> float:
@@ -229,3 +275,8 @@ class Interconnect:
         """
         for resource in (*self.rings, self.qpi, *self.mems):
             resource.reset()
+
+    def rewind(self) -> None:
+        """Return every resource to its construction state."""
+        for resource in (*self.rings, self.qpi, *self.mems):
+            resource.rewind()

@@ -33,7 +33,13 @@ class ProtocolPolicy:
 
         Called after the requester has been added to ``entry.core_valid``.
         """
-        if entry.core_valid == {requester} and entry.owner in (None, requester):
+        sharers = entry.core_valid
+        # ``sharers == {requester}`` without building a set per fill.
+        if (
+            len(sharers) == 1
+            and requester in sharers
+            and (entry.owner is None or entry.owner == requester)
+        ):
             return CoherenceState.EXCLUSIVE
         return CoherenceState.SHARED
 

@@ -1,5 +1,6 @@
 """Tests for the Kernel facade: executor, faults, COW unmerge, bursts."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PageFaultError, ProtectionFaultError
@@ -183,6 +184,72 @@ def test_burst_mlp_shortens_time(kernel_env):
     run_program(kernel, sim, process, make("mlp4", 4.0, va + 2 * PAGE_SIZE),
                 core=1)
     assert latencies["mlp4"] < latencies["serial"] / 2
+
+
+def _private_lines(machine, core_id):
+    """Physical line addresses in a core's private caches."""
+    core = machine.cores[core_id]
+    return {addr for bucket in core.l2._sets for addr in bucket}
+
+
+def test_burst_crossing_pages_touches_right_frames(kernel_env):
+    """A burst starting mid-page follows the page table into the next
+    page, even when the two frames are not physically adjacent."""
+    machine, sim, kernel = kernel_env
+    process = kernel.create_process("p")
+    other = kernel.create_process("other")
+    va = process.mmap(1)
+    other.mmap(1)              # takes the frame after va's
+    va_next = process.mmap(1)  # virtually adjacent, physically not
+    assert va_next == va + PAGE_SIZE
+    assert process.translate(va_next) != process.translate(va) + PAGE_SIZE
+    start = va + PAGE_SIZE - 5 * 64 + 8  # 5 lines before the boundary
+
+    def program(cpu):
+        yield from cpu.burst(start, count=12, stride=64)
+
+    run_program(kernel, sim, process, program)
+    expected = {process.translate(start + i * 64) & ~63 for i in range(12)}
+    assert len({pa // PAGE_SIZE for pa in expected}) == 2
+    assert _private_lines(machine, 0) == expected
+    assert machine.stats.counter("machine.load.dram") == 12
+
+
+def test_burst_write_decisions_consume_count_draws(kernel_env):
+    """A burst with write_ratio > 0 takes exactly ``count`` draws of the
+    ``kernel.burst`` stream: its writes are the draws below the ratio."""
+    machine, sim, kernel = kernel_env
+    process = kernel.create_process("p")
+    va = process.mmap(2)
+    stream = kernel.rng.get("kernel.burst")
+    twin = np.random.Generator(type(stream.bit_generator)())
+    twin.bit_generator.state = stream.bit_generator.state
+    draws = [twin.random() for _ in range(40)]
+
+    def program(cpu):
+        yield from cpu.burst(va, count=40, stride=64, write_ratio=0.5)
+
+    run_program(kernel, sim, process, program)
+    assert stream.bit_generator.state == twin.bit_generator.state
+    writes = sum(d < 0.5 for d in draws)
+    assert 0 < writes < 40
+    assert machine.stats.counter("machine.store.rfo") == writes
+    assert machine.stats.counter("machine.load.dram") == 40 - writes
+
+
+def test_burst_into_unmapped_page_faults(kernel_env):
+    """Per-page translation still faults on the first unmapped access."""
+    machine, sim, kernel = kernel_env
+    process = kernel.create_process("p")
+    va = process.mmap(1)
+
+    def program(cpu):
+        yield from cpu.burst(va + PAGE_SIZE - 2 * 64, count=4, stride=64)
+
+    with pytest.raises(PageFaultError):
+        run_program(kernel, sim, process, program)
+    # The two mapped lines before the hole were accessed.
+    assert machine.stats.counter("machine.load.dram") == 2
 
 
 def test_kernel_thread_uses_physical_addresses(kernel_env):

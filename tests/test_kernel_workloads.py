@@ -1,5 +1,6 @@
 """Tests for the background noise workloads."""
 
+from repro.kernel.syscalls import Kernel
 from repro.kernel.workloads import (
     BURST_LINES,
     KERNEL_BUILD_PAGES,
@@ -8,6 +9,9 @@ from repro.kernel.workloads import (
     spawn_kernel_build,
     streaming_program,
 )
+from repro.mem.hierarchy import Machine, MachineConfig
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 
 
 def test_spawn_zero_threads_is_noop(kernel_env):
@@ -114,3 +118,30 @@ def test_pointer_chase_program_issues_loads(kernel_env):
 def test_constants_sane():
     assert KERNEL_BUILD_PAGES >= 1024
     assert BURST_LINES >= 16
+
+
+def test_warm_reset_machine_matches_fresh_after_kernel_build():
+    """``Machine.reset`` leaves no trace of a noisy kernel-build run.
+
+    A warm-worker machine must snapshot exactly like a new one,
+    interconnect traffic totals and index modes included, or exported
+    checkpoints would depend on whether the worker was warm.
+    """
+    config = MachineConfig()
+    warm = Machine(config, RngStreams(1))
+    sim = Simulator(warm.stats)
+    kernel = Kernel(warm, sim, warm.rng)
+    spawn_kernel_build(kernel, 2)
+
+    def timer(cpu):
+        yield from cpu.delay(50_000)
+
+    kernel.spawn(kernel.create_process("timer"), "timer", timer, core_id=0)
+    sim.run(kill_daemons=True)
+    assert warm.interconnect.rings[0].total_traffic > 0
+    assert warm.stats.counter("machine.store.rfo") > 0
+
+    warm.reset(RngStreams(5))
+    fresh = Machine(config, RngStreams(5))
+    Simulator(fresh.stats)  # binds the same engine counter as the warm run
+    assert warm.snapshot_state() == fresh.snapshot_state()

@@ -4,8 +4,14 @@ Random op sequences (load/store/flush from random cores over a small
 line pool) must (a) never violate a protocol invariant and (b) always
 return the value of the most recent store per line — checked against a
 flat reference memory.
+
+(b) runs on every backend: snoop (inclusive and not) and the home-node
+directory, under each protocol.  (a) runs on the inclusive snoop
+machines only: :func:`check_machine` states the snoop-mode invariants,
+and the directory backend has no invariant set of its own yet.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +25,7 @@ N_LINES = 6
 BASE = 0x100_0000
 
 
-def tiny_machine(protocol="mesi"):
+def tiny_machine(protocol="mesi", **overrides):
     config = MachineConfig(
         cores_per_socket=3,
         l1_sets=4, l1_assoc=2,
@@ -27,6 +33,7 @@ def tiny_machine(protocol="mesi"):
         llc_sets=16, llc_assoc=4,
         protocol=protocol,
         noise=NoiseModel(enabled=False),
+        **overrides,
     )
     return Machine(config, RngStreams(0))
 
@@ -95,3 +102,25 @@ def test_final_values_readable_from_any_core(ops, data):
         got, _lat, _path = machine.load(core, addr)
         assert got == expected
     check_machine(machine)
+
+
+#: Backends whose loads must return the latest store, without the
+#: snoop-inclusive invariant check.
+VALUE_BACKENDS = {
+    "directory_mesi": {"protocol": "mesi", "coherence": "directory"},
+    "directory_mesif": {"protocol": "mesif", "coherence": "directory"},
+    "directory_moesi": {"protocol": "moesi", "coherence": "directory"},
+    "snoop_noninclusive": {"protocol": "mesi", "inclusive": False},
+}
+
+
+@pytest.mark.parametrize("backend", sorted(VALUE_BACKENDS))
+@settings(max_examples=60, deadline=None)
+@given(ops=ops_strategy, data=st.data())
+def test_loads_return_latest_store_on_every_backend(backend, ops, data):
+    machine = tiny_machine(**VALUE_BACKENDS[backend])
+    reference = apply_ops(machine, ops)
+    core = data.draw(st.integers(min_value=0, max_value=5))
+    for addr, expected in reference.items():
+        got, _lat, _path = machine.load(core, addr)
+        assert got == expected
