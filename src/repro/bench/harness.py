@@ -2,24 +2,26 @@
 
 Methodology
 -----------
-Each benchmark runs a fixed, deterministic workload (fixed seeds, fixed
-payloads) so that the executed event sequence is identical from run to
-run and between code versions — wall clock is the only free variable.
-Benchmarks are repeated ``repeats`` times and the minimum wall time is
-kept: the minimum is the run least disturbed by the host (GC pauses,
-scheduler preemption), which is the quantity a code change actually
-moves.
+``repro bench`` keeps only the gates no other benchmark checks; the
+repository benchmark (``perfbench/``, declared in ``BENCHMARK.json``)
+measures throughput, latency and accuracy per workload.  Each benchmark
+runs a fixed, deterministic workload (fixed seeds, fixed payloads), so
+the executed event sequence is identical from run to run and between
+code versions.
 
-``engine_micro`` times only the transmission (session construction and
-calibration excluded) and divides the engine's executed-event count by
-the wall time; ``fig8_point`` and ``noise_point`` time a whole
-experiment point end to end, construction included, because that is the
-latency a grid sweep pays per point.
+The three overhead A/Bs time each variant in CPU seconds
+(``time.process_time``), interleave the variants within every repeat so
+host drift hits them alike, and keep the least CPU time per variant.
+CPU time leaves out time the host steals from the process, which wall
+time would count as overhead.  ``grid_sweep`` times its modes in wall
+seconds, because its pool modes spend their CPU time in worker
+processes; it gates on a self-relative speedup, not on a raw time.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -42,24 +44,19 @@ _PAYLOAD = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1]
 #: to the trace feed vs traced-only and untraced runs; the path with
 #: the feature absent is gated like disabled tracing).
 #: v8 removed the v5 additions together with the lane backend.
-SCHEMA = 8
+#: v9 removed ``engine_micro``, ``fig8_point``, ``noise_point``,
+#: ``service_sweep`` and the ``grid_sweep`` cache byte counts, and
+#: times the overhead A/Bs in CPU seconds (``*_cpu_s``).
+SCHEMA = 9
 
-#: Minimum fleet-wide dedupe ratio (points submitted / points actually
-#: executed) on the ``service_sweep`` workload.  The two grids overlap
-#: by construction, and single-flight guarantees each unique key runs
-#: exactly once, so the ratio is deterministic (1.88x on the full grid,
-#: 2.0x on the fully-overlapping quick grid); 1.8x holds for both and
-#: fails loudly if the service ever starts re-executing shared points.
-SERVICE_MIN_DEDUPE = 1.8
-
-#: Allowed wall-time overhead of *disabled* tracing vs the baseline.
+#: Allowed CPU-time overhead of *disabled* tracing vs the baseline.
 #: Disabled tracing attaches nothing to the machine — the hot path is
 #: byte-for-byte the untraced code — so this is an A/B of identical
 #: work and the gate bounds measurement noise plus any accidental
 #: reintroduction of per-event checks.
 TRACE_OVERHEAD_LIMIT = 0.02
 
-#: Allowed wall-time overhead of the *disabled* streaming-detection
+#: Allowed CPU-time overhead of the *disabled* streaming-detection
 #: path vs the baseline.  With no sink subscribed the recorder's
 #: notify loop is skipped behind one truthiness check, and with tracing
 #: off the recorder does not exist at all — so, like disabled tracing,
@@ -67,7 +64,7 @@ TRACE_OVERHEAD_LIMIT = 0.02
 #: accidental per-event cost added to the unsubscribed path.
 STREAMING_OVERHEAD_LIMIT = 0.02
 
-#: Allowed wall-time overhead of segmentation armed with a boundary the
+#: Allowed CPU-time overhead of segmentation armed with a boundary the
 #: run never reaches.  This isolates the per-event bookkeeping the
 #: checkpoint plane adds (replay-log appends, mark truncation, the
 #: pause-boundary comparison) from the cost of actually storing
@@ -81,78 +78,23 @@ def _payload(bits: int) -> list[int]:
     return (_PAYLOAD * reps)[:bits]
 
 
-def engine_micro(
-    seed: int = 0, bits: int = 48, repeats: int = 3
-) -> dict[str, Any]:
-    """Engine throughput: events/second over a default-config session.
-
-    A fresh session is built per repeat (so cache/coherence state never
-    leaks between repeats) and only :meth:`transmit` is timed.
-    """
+def _session(seed: int, trace: bool | None = None):
+    """The default-config session every overhead A/B transmits on."""
     from repro.channel.session import ChannelSession, SessionConfig
 
-    payload = _payload(bits)
-    best_wall = float("inf")
-    events = 0
-    for _ in range(max(1, repeats)):
-        session = ChannelSession(SessionConfig(
-            spec="LExclc-LSharedb",
-            seed=seed,
-            calibration_samples=200,
-        ))
-        counter = session.machine.stats.counter_handle("engine.events")
-        start_events = counter.value
-        t0 = time.perf_counter()
-        session.transmit(payload)
-        wall = time.perf_counter() - t0
-        events = counter.value - start_events
-        if wall < best_wall:
-            best_wall = wall
-    return {
-        "events": events,
-        "wall_s": best_wall,
-        "events_per_sec": events / best_wall,
-    }
+    return ChannelSession(SessionConfig(
+        spec="LExclc-LSharedb",
+        seed=seed,
+        calibration_samples=200,
+        trace=trace,
+    ))
 
 
-def fig8_point(repeats: int = 3, bits: int = 100) -> dict[str, Any]:
-    """One end-to-end Figure 8 bandwidth point (remote-E, 500 Kbit/s)."""
-    from repro.channel.session import execute_point
-
-    payload = _payload(bits)
-    best_wall = float("inf")
-    accuracy = 0.0
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = execute_point(
-            scenario="RExclc-LSharedb", payload=payload,
-            rate_kbps=500.0, seed=0,
-        )
-        wall = time.perf_counter() - t0
-        accuracy = result.accuracy
-        if wall < best_wall:
-            best_wall = wall
-    return {"wall_s": best_wall, "accuracy": accuracy}
-
-
-def noise_point(repeats: int = 3, bits: int = 24) -> dict[str, Any]:
-    """One end-to-end point with two co-located noise workloads."""
-    from repro.channel.session import execute_point
-
-    payload = _payload(bits)
-    best_wall = float("inf")
-    accuracy = 0.0
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        result = execute_point(
-            scenario="LExclc-LSharedb", payload=payload,
-            seed=0, noise_threads=2,
-        )
-        wall = time.perf_counter() - t0
-        accuracy = result.accuracy
-        if wall < best_wall:
-            best_wall = wall
-    return {"wall_s": best_wall, "accuracy": accuracy}
+def _timed_transmit(session: Any, payload: list[int]) -> float:
+    """CPU seconds *session* spends transmitting *payload*."""
+    t0 = time.process_time()
+    session.transmit(payload)
+    return time.process_time() - t0
 
 
 def trace_overhead(
@@ -167,32 +109,12 @@ def trace_overhead(
       default production path (must resolve to the same untraced code);
     * ``enabled`` — ``trace=True``, full recording.
 
-    Variants are interleaved within each repeat so host drift hits all
-    three equally, and the best wall per variant is kept.  The report
-    carries ``disabled_overhead`` (gated at
+    The report carries ``disabled_overhead`` (gated at
     :data:`TRACE_OVERHEAD_LIMIT` by :func:`check_regression`) and
     ``enabled_overhead`` (informational — the price of turning the
     feature on).
     """
-    import os
-
-    from repro.channel.session import ChannelSession, SessionConfig
-
     payload = _payload(bits)
-
-    def one(trace: bool | None) -> tuple[float, int]:
-        session = ChannelSession(SessionConfig(
-            spec="LExclc-LSharedb",
-            seed=seed,
-            calibration_samples=200,
-            trace=trace,
-        ))
-        t0 = time.perf_counter()
-        session.transmit(payload)
-        wall = time.perf_counter() - t0
-        emitted = session.recorder.emitted if session.recorder else 0
-        return wall, emitted
-
     # The "disabled" variant must see the real default, even when the
     # harness itself runs under a REPRO_TRACE=1 CI leg.
     saved = os.environ.pop("REPRO_TRACE", None)
@@ -203,18 +125,19 @@ def trace_overhead(
         for _ in range(max(1, repeats)):
             for name, flag in (("baseline", False), ("disabled", None),
                                ("enabled", True)):
-                wall, emitted = one(flag)
-                best[name] = min(best[name], wall)
+                session = _session(seed, flag)
+                best[name] = min(best[name],
+                                 _timed_transmit(session, payload))
                 if name == "enabled":
-                    traced_events = emitted
+                    traced_events = session.recorder.emitted
     finally:
         if saved is not None:
             os.environ["REPRO_TRACE"] = saved
     return {
         "bits": bits,
-        "baseline_wall_s": best["baseline"],
-        "disabled_wall_s": best["disabled"],
-        "enabled_wall_s": best["enabled"],
+        "baseline_cpu_s": best["baseline"],
+        "disabled_cpu_s": best["disabled"],
+        "enabled_cpu_s": best["enabled"],
         "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
         "enabled_overhead": best["enabled"] / best["baseline"] - 1.0,
         "traced_events": traced_events,
@@ -240,39 +163,15 @@ def streaming_overhead(
       to the session recorder, interim scans included — the live
       monitoring configuration the arena driver runs.
 
-    Variants are interleaved within each repeat so host drift hits all
-    four equally; the best wall per variant is kept.  The report
-    carries ``disabled_overhead`` (gated at
+    The report carries ``disabled_overhead`` (gated at
     :data:`STREAMING_OVERHEAD_LIMIT` by :func:`check_regression`),
     ``streaming_overhead`` (live monitoring vs baseline) and
     ``sink_overhead`` (the detector's marginal cost over tracing
     alone), both informational.
     """
-    import os
-
-    from repro.channel.session import ChannelSession, SessionConfig
     from repro.detection.streaming import StreamingDetector
 
     payload = _payload(bits)
-
-    def one(trace: bool | None, subscribe: bool) -> tuple[float, int, bool]:
-        session = ChannelSession(SessionConfig(
-            spec="LExclc-LSharedb",
-            seed=seed,
-            calibration_samples=200,
-            trace=trace,
-        ))
-        detector = None
-        if subscribe:
-            detector = StreamingDetector(scan_interval=100_000.0)
-            session.recorder.subscribe(detector)
-        t0 = time.perf_counter()
-        session.transmit(payload)
-        wall = time.perf_counter() - t0
-        events = detector.events if detector else 0
-        flagged = bool(detector and detector.scan())
-        return wall, events, flagged
-
     saved = os.environ.pop("REPRO_TRACE", None)
     best = {"baseline": float("inf"), "disabled": float("inf"),
             "traced": float("inf"), "streaming": float("inf")}
@@ -280,25 +179,26 @@ def streaming_overhead(
     flagged = False
     try:
         for _ in range(max(1, repeats)):
-            for name, trace, subscribe in (
-                ("baseline", False, False),
-                ("disabled", None, False),
-                ("traced", True, False),
-                ("streaming", True, True),
-            ):
-                wall, n, hit = one(trace, subscribe)
-                best[name] = min(best[name], wall)
+            for name, trace in (("baseline", False), ("disabled", None),
+                                ("traced", True), ("streaming", True)):
+                session = _session(seed, trace)
+                detector = None
                 if name == "streaming":
-                    events, flagged = n, hit
+                    detector = StreamingDetector(scan_interval=100_000.0)
+                    session.recorder.subscribe(detector)
+                best[name] = min(best[name],
+                                 _timed_transmit(session, payload))
+                if detector is not None:
+                    events, flagged = detector.events, bool(detector.scan())
     finally:
         if saved is not None:
             os.environ["REPRO_TRACE"] = saved
     return {
         "bits": bits,
-        "baseline_wall_s": best["baseline"],
-        "disabled_wall_s": best["disabled"],
-        "traced_wall_s": best["traced"],
-        "streaming_wall_s": best["streaming"],
+        "baseline_cpu_s": best["baseline"],
+        "disabled_cpu_s": best["disabled"],
+        "traced_cpu_s": best["traced"],
+        "streaming_cpu_s": best["streaming"],
         "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
         "streaming_overhead": best["streaming"] / best["baseline"] - 1.0,
         "sink_overhead": best["streaming"] / best["traced"] - 1.0,
@@ -326,10 +226,10 @@ def segment_overhead(
     of itself with the machinery armed, or segmentation is too expensive
     to leave available by default.
     """
-    import os
     import tempfile
 
-    from repro.channel.session import ChannelSession, SessionConfig
+    from repro.checkpoint.segments import SegmentStore
+    from repro.runner.cache import ResultCache
 
     payload = _payload(bits)
     scratch = tempfile.mkdtemp(prefix="repro-bench-seg-")
@@ -339,23 +239,14 @@ def segment_overhead(
         if armed:
             os.environ["REPRO_SEGMENT_CYCLES"] = "1e15"
         try:
-            session = ChannelSession(SessionConfig(
-                spec="LExclc-LSharedb",
-                seed=seed,
-                calibration_samples=200,
-            ))
+            session = _session(seed)
             if armed:
-                from repro.checkpoint.segments import SegmentStore
-                from repro.runner.cache import ResultCache
-
                 session.segments = SegmentStore(
                     "bench-segment-overhead",
                     cache=ResultCache(scratch),
                     cycles=1e15,
                 )
-            t0 = time.perf_counter()
-            session.transmit(payload)
-            return time.perf_counter() - t0
+            return _timed_transmit(session, payload)
         finally:
             if saved is None:
                 os.environ.pop("REPRO_SEGMENT_CYCLES", None)
@@ -364,13 +255,12 @@ def segment_overhead(
 
     best = {"baseline": float("inf"), "armed": float("inf")}
     for _ in range(max(1, repeats)):
-        # Interleaved so host drift hits both variants equally.
         best["baseline"] = min(best["baseline"], one(False))
         best["armed"] = min(best["armed"], one(True))
     return {
         "bits": bits,
-        "baseline_wall_s": best["baseline"],
-        "armed_wall_s": best["armed"],
+        "baseline_cpu_s": best["baseline"],
+        "armed_cpu_s": best["armed"],
         "overhead": best["armed"] / best["baseline"] - 1.0,
     }
 
@@ -397,7 +287,7 @@ def _grid_spec(points: int, bits: int, rate_offset: float = 0.0):
 
     *rate_offset* shifts every rate by a constant, producing a second
     grid that overlaps the first on all but the shifted-out rates — the
-    ``service_sweep`` benchmark's workload shape.
+    workload shape of CI's ``service-smoke`` dedupe probe.
     """
     from repro.runner import ExperimentSpec, Point
 
@@ -433,35 +323,30 @@ def _values_digest(values: list[Any]) -> str:
     return digest.hexdigest()
 
 
-def _run_grid_mode(
-    spec: Any, runner_kwargs: dict, env: dict[str, str] | None = None
-) -> tuple[list[Any], float]:
-    """Run *spec* once under *runner_kwargs* with *env* overrides.
+def cold_values(spec: Any) -> list[Any]:
+    """*spec*'s values with every point run in-process from cold.
 
-    Clears the warm machine/calibration state first so every mode pays
-    its own first-calibration cost, and restores the environment
-    afterwards.  Returns ``(values, wall_seconds)``.
+    The warm machine pool and the calibration memo are cleared before
+    each point, so every point pays a machine build and a cold
+    calibration: the execution path the grid-throughput layers replaced.
     """
-    import os
-
     from repro.channel.session import clear_warm_state
-    from repro.runner import Runner
 
-    saved: dict[str, str | None] = {}
-    for key, value in (env or {}).items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
+    values = []
+    for point in spec.points:
+        clear_warm_state()
+        values.append(point.execute())
+    return values
+
+
+def _timed_grid(run: Any) -> tuple[list[Any], float]:
+    """``(run(), wall_seconds)``, starting from cold warm state."""
+    from repro.channel.session import clear_warm_state
+
     clear_warm_state()
-    try:
-        t0 = time.perf_counter()
-        values = Runner(cache=None, **runner_kwargs).run(spec).values
-        return values, time.perf_counter() - t0
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
+    t0 = time.perf_counter()
+    values = run()
+    return values, time.perf_counter() - t0
 
 
 def grid_sweep(
@@ -472,8 +357,9 @@ def grid_sweep(
     Runs the same fig8-shaped grid four ways and reports each mode's
     points/s plus its speedup over ``reference``:
 
-    * ``reference`` — serial with the calibration memo and warm machine
-      pool disabled: the pre-optimization (PR 3) execution path;
+    * ``reference`` — serial, every point from cold
+      (:func:`cold_values`): a machine build and a cold calibration per
+      point;
     * ``jobs`` — the process pool with one future per point
       (``chunk_size=1``), warm workers + memo active;
     * ``chunked`` — the pool with auto-sized seed-grouped chunks, the
@@ -487,169 +373,50 @@ def grid_sweep(
     regression, and the gate treats it as one.  Speedups are
     self-relative (same host, same process), so they are comparable
     across machines in a way raw walls are not.
-
-    Also reports the on-disk transport cost of the grid's results:
-    ``cache_bytes`` under the schema-v2 entry encoding versus
-    ``cache_bytes_legacy`` under the v1 bare-pickle-with-object-samples
-    encoding it replaced.
     """
-    import pickle
-
-    from repro.runner.cache import encode_entry
+    from repro.runner import Runner
 
     spec = _grid_spec(points, bits)
-
-    optimizations_off = {
-        "REPRO_WARM_WORKERS": "0",
-        "REPRO_CALIBRATION_MEMO": "0",
+    runs = {
+        "reference": _timed_grid(lambda: cold_values(spec)),
+        "jobs": _timed_grid(lambda: Runner(
+            cache=None, jobs=jobs, chunk_size=1).run(spec).values),
+        "chunked": _timed_grid(
+            lambda: Runner(cache=None, jobs=jobs).run(spec).values),
+        "serial": _timed_grid(
+            lambda: Runner(cache=None, jobs=1).run(spec).values),
     }
-    ref_values, ref_wall = _run_grid_mode(spec, {"jobs": 1},
-                                          optimizations_off)
-    jobs_values, jobs_wall = _run_grid_mode(spec,
-                                            {"jobs": jobs, "chunk_size": 1})
-    chunk_values, chunk_wall = _run_grid_mode(spec, {"jobs": jobs})
-    serial_values, serial_wall = _run_grid_mode(spec, {"jobs": 1})
-
-    reference = _values_digest(ref_values)
-    bit_identical = all(
-        _values_digest(values) == reference
-        for values in (jobs_values, chunk_values, serial_values)
-    )
-
+    reference = _values_digest(runs["reference"][0])
+    ref_wall = runs["reference"][1]
     n = len(spec.points)
     modes: dict[str, dict[str, float]] = {}
-    for name, wall in (
-        ("reference", ref_wall),
-        ("serial", serial_wall),
-        ("jobs", jobs_wall),
-        ("chunked", chunk_wall),
-    ):
-        entry = {"wall_s": wall, "points_per_sec": n / wall}
+    for name in ("reference", "serial", "jobs", "chunked"):
+        wall = runs[name][1]
+        modes[name] = {"wall_s": wall, "points_per_sec": n / wall}
         if name != "reference":
-            entry["speedup"] = ref_wall / wall
-        modes[name] = entry
-
-    cache_bytes = sum(len(encode_entry(v)) for v in ref_values)
-    # The v1 encoding: a bare pickle whose samples are full objects.
-    legacy_bytes = sum(
-        len(pickle.dumps(
-            dict(v.__dict__), protocol=pickle.HIGHEST_PROTOCOL
-        ))
-        for v in ref_values
-    )
+            modes[name]["speedup"] = ref_wall / wall
     return {
         "points": n,
         "bits": bits,
         "jobs": jobs,
-        "bit_identical": bit_identical,
+        "bit_identical": all(
+            _values_digest(values) == reference
+            for values, _wall in runs.values()
+        ),
         "modes": modes,
         "best_speedup": max(
             info["speedup"] for name, info in modes.items()
             if name != "reference"
         ),
-        "cache_bytes": cache_bytes,
-        "cache_bytes_legacy": legacy_bytes,
-        "cache_reduction": 1.0 - cache_bytes / legacy_bytes,
-    }
-
-
-def service_sweep(
-    jobs: int = 4, points: int = 64, bits: int = 24
-) -> dict[str, Any]:
-    """Fleet-wide dedupe: two overlapping grids through the service.
-
-    The PR 9 benchmark.  Two fig8-shaped grids of *points* points each,
-    the second with its rates shifted so most of its keys coincide with
-    the first's (on the full 64-point grid: 128 points submitted, 68
-    unique; the quick grid fully overlaps), run two ways:
-
-    * ``local`` — back-to-back uncached :class:`~repro.runner.Runner`
-      sweeps, paying for every submitted point: the pre-service cost of
-      two teammates sweeping overlapping grids;
-    * ``service`` — both grids submitted concurrently to one
-      :class:`~repro.service.ExperimentService` over HTTP, sharing the
-      sharded single-flight index and one warm worker pool.
-
-    ``dedupe_ratio`` (submitted / executed) is deterministic — the
-    single-flight index executes each unique key exactly once whatever
-    the scheduler interleaving — and :func:`check_regression` gates it
-    against :data:`SERVICE_MIN_DEDUPE`.  ``bit_identical`` asserts the
-    blobs served over HTTP decode byte-equal to the local runs' values.
-    ``speedup_vs_local`` is reported as context but does not gate (it
-    mixes pool warm-up and HTTP overhead into a host-sensitive number).
-    """
-    import tempfile
-
-    from repro.runner.cache import ResultCache
-    from repro.runner.executor import FailurePolicy
-    from repro.service import ExperimentService, ServiceClient
-
-    per = max(1, points // 2)
-    # Shift ~1/16th of the rate axis: 2 rates on the full grid (68
-    # unique of 128), 0 on the quick grid (full overlap).
-    offset = 25.0 * (per // 16)
-    spec_a = _grid_spec(points, bits)
-    spec_b = _grid_spec(points, bits, rate_offset=offset)
-    submitted = len(spec_a.points) + len(spec_b.points)
-    unique = len({
-        point.key("bench-svc")
-        for point in spec_a.points + spec_b.points
-    })
-
-    local_a, wall_a = _run_grid_mode(spec_a, {"jobs": jobs})
-    local_b, wall_b = _run_grid_mode(spec_b, {"jobs": jobs})
-    local_wall = wall_a + wall_b
-
-    scratch = tempfile.mkdtemp(prefix="repro-bench-svc-")
-    service = ExperimentService(
-        cache=ResultCache(scratch, salt="bench-svc"),
-        workers=jobs,
-        policy=FailurePolicy(keep_going=True),
-    )
-    handle = service.run_in_thread()
-    try:
-        client = ServiceClient(handle.base_url)
-        t0 = time.perf_counter()
-        job_a = client.submit_spec(spec_a)
-        job_b = client.submit_spec(spec_b)
-        manifest_a = client.wait(job_a, timeout=3600)
-        manifest_b = client.wait(job_b, timeout=3600)
-        service_wall = time.perf_counter() - t0
-        served_a = client.values(job_a)
-        served_b = client.values(job_b)
-        stats = handle.stats()
-    finally:
-        handle.stop()
-
-    executed = manifest_a["executed"] + manifest_b["executed"]
-    bit_identical = (
-        _values_digest(served_a) == _values_digest(local_a)
-        and _values_digest(served_b) == _values_digest(local_b)
-    )
-    return {
-        "points": points,
-        "bits": bits,
-        "jobs": jobs,
-        "submitted": submitted,
-        "unique": unique,
-        "executed": executed,
-        "coalesced": stats["coalesced"],
-        "dedupe_ratio": submitted / max(1, executed),
-        "bit_identical": bit_identical,
-        "local_wall_s": local_wall,
-        "service_wall_s": service_wall,
-        "speedup_vs_local": local_wall / service_wall,
     }
 
 
 def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
     """Run every benchmark and return the full report dict."""
     if quick:
-        micro_bits, fig8_bits, noise_bits = 16, 24, 8
-        grid_points, grid_bits = 16, 8
+        ab_bits, grid_points, grid_bits = 8, 16, 8
     else:
-        micro_bits, fig8_bits, noise_bits = 48, 100, 24
-        grid_points, grid_bits = 64, 24
+        ab_bits, grid_points, grid_bits = 24, 64, 24
     return {
         "schema": SCHEMA,
         "date": time.strftime("%Y-%m-%d"),
@@ -658,21 +425,13 @@ def run_all(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
         "repeats": repeats,
         "quick": quick,
         "benchmarks": {
-            "engine_micro": engine_micro(bits=micro_bits, repeats=repeats),
-            "fig8_point": fig8_point(repeats=repeats, bits=fig8_bits),
-            "noise_point": noise_point(repeats=repeats, bits=noise_bits),
             "grid_sweep": grid_sweep(points=grid_points, bits=grid_bits),
-            "service_sweep": service_sweep(
-                points=grid_points, bits=grid_bits
-            ),
-            "trace_overhead": trace_overhead(
-                bits=noise_bits, repeats=repeats
-            ),
+            "trace_overhead": trace_overhead(bits=ab_bits, repeats=repeats),
             "streaming_overhead": streaming_overhead(
-                bits=noise_bits, repeats=repeats
+                bits=ab_bits, repeats=repeats
             ),
             "segment_overhead": segment_overhead(
-                bits=noise_bits, repeats=repeats
+                bits=ab_bits, repeats=repeats
             ),
         },
     }
@@ -695,6 +454,19 @@ def load_report(path: str | Path) -> dict[str, Any]:
     return json.loads(Path(path).read_text())
 
 
+#: ``(benchmark, report key, limit, what the overhead prices)`` for the
+#: absolute overhead gates of :func:`check_regression`.
+_OVERHEAD_GATES = (
+    ("trace_overhead", "disabled_overhead", TRACE_OVERHEAD_LIMIT,
+     "disabled-mode tracing (must be free when off)"),
+    ("streaming_overhead", "disabled_overhead", STREAMING_OVERHEAD_LIMIT,
+     "the unsubscribed streaming path (must be free when no detector "
+     "is attached)"),
+    ("segment_overhead", "overhead", SEGMENT_OVERHEAD_LIMIT,
+     "armed-but-idle segmentation on an unsegmented point"),
+)
+
+
 def check_regression(
     current: dict[str, Any],
     baseline: dict[str, Any],
@@ -704,8 +476,12 @@ def check_regression(
 
     These quantities gate:
 
-    * engine events/second — the current run must reach at least
-      ``(1 - max_regression)`` of the baseline's throughput;
+    * grid throughput — ``grid_sweep`` must report ``bit_identical``
+      (an optimized mode producing different results is a correctness
+      regression, whatever its speed), and its best self-relative
+      speedup must reach ``(1 - max_regression)`` of the baseline's.
+      Speedups rather than raw walls gate because they are
+      host-portable;
     * disabled-mode tracing — ``trace_overhead.disabled_overhead`` must
       stay under :data:`TRACE_OVERHEAD_LIMIT` (an absolute bound, not
       baseline-relative: disabled tracing is contractually free);
@@ -716,92 +492,31 @@ def check_regression(
     * armed-but-idle segmentation — ``segment_overhead.overhead`` must
       stay under :data:`SEGMENT_OVERHEAD_LIMIT` (also absolute: the
       checkpoint plane's per-event bookkeeping must stay cheap enough
-      to arm on any long run);
-    * grid throughput — ``grid_sweep`` must report ``bit_identical``
-      (an optimized mode producing different results is a correctness
-      regression, whatever its speed), and when the baseline also
-      carries a ``grid_sweep``, the current best self-relative speedup
-      must stay within ``max_regression`` of the baseline's.  Speedups
-      rather than raw walls gate because they are host-portable;
-    * experiment service — ``service_sweep`` must report
-      ``bit_identical`` (blobs served over HTTP must decode to exactly
-      the local values) and a ``dedupe_ratio`` of at least
-      :data:`SERVICE_MIN_DEDUPE` (both absolute: the ratio is
-      deterministic, so any shortfall means shared points re-executed).
-
-    Wall times of the end-to-end points are reported as context but do
-    not gate (they include calibration and are noisier on shared
-    runners).
+      to arm on any long run).
     """
-    problems: list[str] = []
     try:
-        base_eps = baseline["benchmarks"]["engine_micro"]["events_per_sec"]
-        cur_eps = current["benchmarks"]["engine_micro"]["events_per_sec"]
+        grid = current["benchmarks"]["grid_sweep"]
+        base_speedup = baseline["benchmarks"]["grid_sweep"]["best_speedup"]
     except KeyError as exc:
         return [f"malformed report: missing {exc}"]
-    floor = base_eps * (1.0 - max_regression)
-    if cur_eps < floor:
+    problems: list[str] = []
+    if not grid.get("bit_identical", False):
         problems.append(
-            f"engine_micro regressed: {cur_eps:,.0f} events/s < "
-            f"{floor:,.0f} (baseline {base_eps:,.0f} - {max_regression:.0%})"
+            "grid_sweep: optimized modes are not bit-identical to "
+            "the reference path"
         )
-    trace = current["benchmarks"].get("trace_overhead")
-    if trace is not None:
-        overhead = trace.get("disabled_overhead", 0.0)
-        if overhead >= TRACE_OVERHEAD_LIMIT:
+    speedup = grid.get("best_speedup", 0.0)
+    speedup_floor = base_speedup * (1.0 - max_regression)
+    if speedup < speedup_floor:
+        problems.append(
+            f"grid_sweep regressed: best speedup {speedup:.2f}x < "
+            f"{speedup_floor:.2f}x (baseline {base_speedup:.2f}x "
+            f"- {max_regression:.0%})"
+        )
+    for name, key, limit, what in _OVERHEAD_GATES:
+        overhead = current["benchmarks"].get(name, {}).get(key, 0.0)
+        if overhead >= limit:
             problems.append(
-                f"trace_overhead: disabled-mode tracing costs "
-                f"{overhead:.1%} >= {TRACE_OVERHEAD_LIMIT:.0%} "
-                f"(must be free when off)"
-            )
-    streaming = current["benchmarks"].get("streaming_overhead")
-    if streaming is not None:
-        overhead = streaming.get("disabled_overhead", 0.0)
-        if overhead >= STREAMING_OVERHEAD_LIMIT:
-            problems.append(
-                f"streaming_overhead: unsubscribed streaming path costs "
-                f"{overhead:.1%} >= {STREAMING_OVERHEAD_LIMIT:.0%} "
-                f"(must be free when no detector is attached)"
-            )
-    segment = current["benchmarks"].get("segment_overhead")
-    if segment is not None:
-        overhead = segment.get("overhead", 0.0)
-        if overhead >= SEGMENT_OVERHEAD_LIMIT:
-            problems.append(
-                f"segment_overhead: armed-but-idle segmentation costs "
-                f"{overhead:.1%} >= {SEGMENT_OVERHEAD_LIMIT:.0%} on an "
-                f"unsegmented point"
-            )
-    grid = current["benchmarks"].get("grid_sweep")
-    if grid is not None:
-        if not grid.get("bit_identical", False):
-            problems.append(
-                "grid_sweep: optimized modes are not bit-identical to "
-                "the reference path"
-            )
-        base_grid = baseline["benchmarks"].get("grid_sweep")
-        if base_grid is not None:
-            base_speedup = base_grid.get("best_speedup", 0.0)
-            speedup_floor = base_speedup * (1.0 - max_regression)
-            if grid.get("best_speedup", 0.0) < speedup_floor:
-                problems.append(
-                    f"grid_sweep regressed: best speedup "
-                    f"{grid.get('best_speedup', 0.0):.2f}x < "
-                    f"{speedup_floor:.2f}x (baseline {base_speedup:.2f}x "
-                    f"- {max_regression:.0%})"
-                )
-    service = current["benchmarks"].get("service_sweep")
-    if service is not None:
-        if not service.get("bit_identical", False):
-            problems.append(
-                "service_sweep: blobs served by the experiment service "
-                "are not bit-identical to local runner values"
-            )
-        ratio = service.get("dedupe_ratio", 0.0)
-        if ratio < SERVICE_MIN_DEDUPE:
-            problems.append(
-                f"service_sweep: dedupe ratio {ratio:.2f}x < the "
-                f"{SERVICE_MIN_DEDUPE:.2f}x floor (overlapping points "
-                f"are being re-executed)"
+                f"{name}: {what} costs {overhead:.1%} >= {limit:.0%}"
             )
     return problems

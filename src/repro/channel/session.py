@@ -14,7 +14,6 @@ mitigation experiments can reuse it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.channel.calibration import (
@@ -22,7 +21,6 @@ from repro.channel.calibration import (
     LatencyBands,
     calibrate,
     calibrate_memoized,
-    calibration_memo_enabled,
     clear_calibration_memo,
 )
 from repro.channel.config import (
@@ -224,15 +222,6 @@ class TransmissionResult:
 _MACHINE_POOL: dict[str, Machine] = {}
 
 
-def warm_workers_enabled() -> bool:
-    """Whether grid workers may reuse pooled machines across points.
-
-    ``REPRO_WARM_WORKERS=0`` disables the pool globally, restoring the
-    build-a-fresh-Machine-per-point behavior.
-    """
-    return os.environ.get("REPRO_WARM_WORKERS", "1") != "0"
-
-
 def clear_warm_state() -> int:
     """Drop pooled machines *and* the calibration memo; returns count.
 
@@ -275,7 +264,7 @@ class SessionBase:
         self.recorder: TraceRecorder | None = TraceRecorder() if traced else None
         self.tap: MachineTap | None = None
         self.rng = RngStreams(config.seed)
-        if config.reuse_machine and warm_workers_enabled():
+        if config.reuse_machine:
             self.machine = _acquire_machine(config.machine, self.rng)
         else:
             self.machine = Machine(config.machine, self.rng)
@@ -416,7 +405,7 @@ class SessionBase:
         interaction with calibration.
         """
         cfg = self.config
-        if not cfg.calibration_memo or not calibration_memo_enabled():
+        if not cfg.calibration_memo:
             return False
         if self.machine.obfuscation is not None:
             return False
@@ -787,6 +776,8 @@ def resolve_spec(
     base = scenario_spec_by_name(scenario)
     if protocol is not None and protocol != base.protocol:
         base = replace(base, protocol=protocol)
+        # Fail here on a protocol the spec's topology rejects.
+        base.machine_config()
     return base
 
 
@@ -822,8 +813,7 @@ def execute_point(
     Grid points executed back-to-back in one worker process reuse the
     constructed machine (``reuse_machine=True`` + the process-local
     pool) and the calibration memo; both are bit-identical to the cold
-    path and can be disabled with ``REPRO_WARM_WORKERS=0`` /
-    ``REPRO_CALIBRATION_MEMO=0``.
+    path (:func:`clear_warm_state` drops them).
 
     With segmented execution on (``REPRO_SEGMENT_CYCLES``), the session
     stores resumable checkpoints at segment boundaries under this

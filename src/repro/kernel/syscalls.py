@@ -357,30 +357,46 @@ class Kernel:
         process: Process = thread.process
         fault_cost = 0.0
         if process is not None:
-            pte = process.pte(vaddr)
-            if pte.cow:
-                # COW break — for a KSM-merged page this is the unmerge
-                # that separates the sharers again (Section IV).
-                old_pfn = pte.pfn
-                self.ksm.unmerge(process, vpn_of(vaddr))
-                self._purge_frame_from_caches(old_pfn)
-                fault_cost = COW_FAULT_CYCLES
-                self.stats.incr("kernel.cow_faults")
-            elif not pte.writable:
-                raise ProtectionFaultError(vaddr, process.pid)
+            fault_cost = self._make_writable(process, vaddr)
             paddr = process.translate(vaddr)
-            # Keep frame contents in sync so KSM hashing stays honest;
-            # clamp so the 8-byte write never crosses the frame boundary.
-            page_base = paddr - (paddr % PAGE_SIZE)
-            offset = min(paddr % PAGE_SIZE, PAGE_SIZE - 8)
-            self.phys.write(
-                page_base + offset,
-                (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"),
-            )
+            self._write_frame(paddr, value)
         else:
             paddr = vaddr
         latency, _path = self.machine.store(thread.core_id, paddr, value, now)
         return latency + fault_cost
+
+    def _make_writable(self, process: Process, vaddr: int) -> float:
+        """Prepare *vaddr*'s page for a write; returns the fault cost.
+
+        A COW page is broken first — for a KSM-merged page this is the
+        unmerge that separates the sharers again (Section IV) — and the
+        old frame's lines are purged from every cache.  A read-only page
+        raises ``ProtectionFaultError``, an unmapped one
+        ``PageFaultError``.
+        """
+        pte = process.pte(vaddr)
+        if pte.cow:
+            old_pfn = pte.pfn
+            self.ksm.unmerge(process, vpn_of(vaddr))
+            self._purge_frame_from_caches(old_pfn)
+            self.stats.incr("kernel.cow_faults")
+            return COW_FAULT_CYCLES
+        if not pte.writable:
+            raise ProtectionFaultError(vaddr, process.pid)
+        return 0.0
+
+    def _write_frame(self, paddr: int, value: int) -> None:
+        """Keep frame contents in sync so KSM hashing stays honest.
+
+        The offset is clamped so the 8-byte write never crosses the
+        frame boundary.
+        """
+        page_base = paddr - (paddr % PAGE_SIZE)
+        offset = min(paddr % PAGE_SIZE, PAGE_SIZE - 8)
+        self.phys.write(
+            page_base + offset,
+            (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"),
+        )
 
     def _do_burst(self, thread: SimThread, op: Burst, now: float) -> float:
         """Run a burst's accesses through ``machine.load``/``store``.
@@ -390,7 +406,11 @@ class Kernel:
         ``random()`` draws.  Translation is redone only when an access
         crosses into another page (a burst touches one or two), and an
         unmapped page still raises ``PageFaultError`` at its first
-        access.  ``load``/``store`` are looked up on the machine
+        access.  A store gets ``_do_store``'s treatment: the first store
+        into each page runs the write check (COW break or
+        ``ProtectionFaultError``) before that page is translated for
+        it, and every store updates the frame contents.
+        ``load``/``store`` are looked up on the machine
         instance once per burst, so trace taps, detection monitors and
         class-level wrappers see every access.
         """
@@ -415,13 +435,23 @@ class Kernel:
             page_lo, page_hi, delta = -math.inf, math.inf, 0
         else:
             page_lo = page_hi = delta = 0  # empty: first access translates
+        unchecked = False  # a page entered but not yet write-checked
         total = 0.0
         for write in writes:
             if not page_lo <= addr < page_hi:
-                delta = process.translate(addr) - addr
                 page_lo = addr - addr % PAGE_SIZE
                 page_hi = page_lo + PAGE_SIZE
+                unchecked = True
+                if not write:
+                    delta = process.translate(addr) - addr
             if write:
+                if unchecked:
+                    # A fault is not overlapped with other accesses.
+                    total += self._make_writable(process, addr)
+                    delta = process.translate(addr) - addr
+                    unchecked = False
+                if process is not None:
+                    self._write_frame(addr + delta, 1)
                 latency, _path = store(core_id, addr + delta, 1, now + total)
             else:
                 _value, latency, _path = load(core_id, addr + delta, now + total)

@@ -101,6 +101,12 @@ class MachineConfig:
                 "home_agent is a snoop-mode refinement; the directory "
                 "backend already routes every miss through the home node"
             )
+        if self.coherence == "directory" and self.protocol == "mesif":
+            raise ConfigError(
+                "the directory backend has no F state: it asks the "
+                "protocol only about O, so 'mesif' would run as MESI; "
+                "use 'mesi' or 'moesi'"
+            )
 
     @property
     def n_cores(self) -> int:

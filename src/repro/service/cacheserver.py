@@ -1,7 +1,7 @@
 """The cache server: :class:`ShardedIndex` over a local socket.
 
-External runner processes (and the ``service_sweep`` benchmark's
-concurrent clients) join the service's single-flight domain through
+External runner processes (and concurrent clients such as the
+perfbench ``served_overlap`` workload) join the service's single-flight domain through
 this server — N worker pools and M concurrent jobs deduplicate points
 globally without sharing memory.
 

@@ -22,19 +22,9 @@ def test_run_all_shape(quick_report):
     assert quick_report["quick"] is True
     bench = quick_report["benchmarks"]
     assert set(bench) == {
-        "engine_micro", "fig8_point", "noise_point", "grid_sweep",
-        "service_sweep", "trace_overhead", "streaming_overhead",
+        "grid_sweep", "trace_overhead", "streaming_overhead",
         "segment_overhead",
     }
-    micro = bench["engine_micro"]
-    assert micro["events"] > 0
-    assert micro["wall_s"] > 0
-    assert micro["events_per_sec"] == pytest.approx(
-        micro["events"] / micro["wall_s"]
-    )
-    for name in ("fig8_point", "noise_point"):
-        assert bench[name]["wall_s"] > 0
-        assert 0.0 <= bench[name]["accuracy"] <= 1.0
     grid = bench["grid_sweep"]
     assert grid["bit_identical"] is True
     assert set(grid["modes"]) == {
@@ -48,41 +38,31 @@ def test_run_all_shape(quick_report):
         max(info["speedup"] for mode, info in grid["modes"].items()
             if mode != "reference")
     )
-    assert 0 < grid["cache_bytes"] <= grid["cache_bytes_legacy"]
-    svc = bench["service_sweep"]
-    assert svc["bit_identical"] is True
-    # Single-flight makes the dedupe ratio deterministic: every unique
-    # key executed exactly once, fleet-wide.
-    assert svc["executed"] == svc["unique"]
-    assert svc["dedupe_ratio"] == pytest.approx(
-        svc["submitted"] / svc["unique"]
-    )
-    assert svc["local_wall_s"] > 0 and svc["service_wall_s"] > 0
     trace = bench["trace_overhead"]
-    assert trace["baseline_wall_s"] > 0
-    assert trace["disabled_wall_s"] > 0
-    assert trace["enabled_wall_s"] > 0
+    assert trace["baseline_cpu_s"] > 0
+    assert trace["disabled_cpu_s"] > 0
+    assert trace["enabled_cpu_s"] > 0
     assert trace["traced_events"] > 0
     assert trace["disabled_overhead"] == pytest.approx(
-        trace["disabled_wall_s"] / trace["baseline_wall_s"] - 1.0
+        trace["disabled_cpu_s"] / trace["baseline_cpu_s"] - 1.0
     )
     streaming = bench["streaming_overhead"]
-    for key in ("baseline_wall_s", "disabled_wall_s", "traced_wall_s",
-                "streaming_wall_s"):
+    for key in ("baseline_cpu_s", "disabled_cpu_s", "traced_cpu_s",
+                "streaming_cpu_s"):
         assert streaming[key] > 0
     assert streaming["streamed_events"] > 0
     assert streaming["flagged"] is True
     assert streaming["disabled_overhead"] == pytest.approx(
-        streaming["disabled_wall_s"] / streaming["baseline_wall_s"] - 1.0
+        streaming["disabled_cpu_s"] / streaming["baseline_cpu_s"] - 1.0
     )
     assert streaming["sink_overhead"] == pytest.approx(
-        streaming["streaming_wall_s"] / streaming["traced_wall_s"] - 1.0
+        streaming["streaming_cpu_s"] / streaming["traced_cpu_s"] - 1.0
     )
     segment = bench["segment_overhead"]
-    assert segment["baseline_wall_s"] > 0
-    assert segment["armed_wall_s"] > 0
+    assert segment["baseline_cpu_s"] > 0
+    assert segment["armed_cpu_s"] > 0
     assert segment["overhead"] == pytest.approx(
-        segment["armed_wall_s"] / segment["baseline_wall_s"] - 1.0
+        segment["armed_cpu_s"] / segment["baseline_cpu_s"] - 1.0
     )
 
 
@@ -92,48 +72,55 @@ def test_report_roundtrip(quick_report, tmp_path):
     assert load_report(path) == quick_report
 
 
-def _report(events_per_sec):
+def _report(best_speedup, bit_identical=True):
     return {
         "schema": SCHEMA,
-        "benchmarks": {"engine_micro": {"events_per_sec": events_per_sec}},
+        "benchmarks": {"grid_sweep": {
+            "best_speedup": best_speedup, "bit_identical": bit_identical,
+        }},
     }
 
 
 def test_check_regression_passes_within_budget():
-    assert check_regression(_report(90_000.0), _report(100_000.0)) == []
+    assert check_regression(_report(3.6), _report(4.0)) == []
     # Exactly at the floor is allowed.
-    assert check_regression(_report(80_000.0), _report(100_000.0)) == []
+    assert check_regression(_report(3.2), _report(4.0)) == []
 
 
 def test_check_regression_fails_below_floor():
-    problems = check_regression(_report(70_000.0), _report(100_000.0))
+    problems = check_regression(_report(3.0), _report(4.0))
     assert len(problems) == 1
-    assert "engine_micro regressed" in problems[0]
+    assert "grid_sweep regressed" in problems[0]
 
 
 def test_check_regression_custom_threshold():
-    assert check_regression(
-        _report(95_000.0), _report(100_000.0), max_regression=0.02
-    )
+    assert check_regression(_report(3.8), _report(4.0), max_regression=0.02)
+
+
+def test_check_regression_grid_bit_identity_gate():
+    """Different bits fail the gate, whatever the speedup."""
+    problems = check_regression(_report(5.0, bit_identical=False),
+                                _report(4.0))
+    assert len(problems) == 1 and "bit-identical" in problems[0]
 
 
 def test_check_regression_trace_overhead_gate():
-    current = _report(100_000.0)
-    current["benchmarks"]["trace_overhead"] = {"disabled_overhead": 0.05}
-    problems = check_regression(current, _report(100_000.0))
+    current = _report(4.0)
+    current["benchmarks"]["trace_overhead"] = {"disabled_overhead": 0.02}
+    problems = check_regression(current, _report(4.0))
     assert len(problems) == 1
     assert "trace_overhead" in problems[0]
     current["benchmarks"]["trace_overhead"] = {"disabled_overhead": 0.005}
-    assert check_regression(current, _report(100_000.0)) == []
+    assert check_regression(current, _report(4.0)) == []
     # Negative overhead (disabled faster than baseline: pure noise) passes.
     current["benchmarks"]["trace_overhead"] = {"disabled_overhead": -0.01}
-    assert check_regression(current, _report(100_000.0)) == []
+    assert check_regression(current, _report(4.0)) == []
 
 
 def test_check_regression_streaming_overhead_gate():
-    current = _report(100_000.0)
-    current["benchmarks"]["streaming_overhead"] = {"disabled_overhead": 0.05}
-    problems = check_regression(current, _report(100_000.0))
+    current = _report(4.0)
+    current["benchmarks"]["streaming_overhead"] = {"disabled_overhead": 0.02}
+    problems = check_regression(current, _report(4.0))
     assert len(problems) == 1
     assert "streaming_overhead" in problems[0]
     # Under the cap — or negative (host noise) — passes.
@@ -141,55 +128,36 @@ def test_check_regression_streaming_overhead_gate():
         current["benchmarks"]["streaming_overhead"] = {
             "disabled_overhead": overhead,
         }
-        assert check_regression(current, _report(100_000.0)) == []
+        assert check_regression(current, _report(4.0)) == []
 
 
 def test_check_regression_segment_overhead_gate():
-    current = _report(100_000.0)
-    current["benchmarks"]["segment_overhead"] = {"overhead": 0.08}
-    problems = check_regression(current, _report(100_000.0))
+    current = _report(4.0)
+    current["benchmarks"]["segment_overhead"] = {"overhead": 0.05}
+    problems = check_regression(current, _report(4.0))
     assert len(problems) == 1
     assert "segment_overhead" in problems[0]
     # Under the cap — or negative (armed faster: host noise) — passes.
     for overhead in (0.02, -0.01):
         current["benchmarks"]["segment_overhead"] = {"overhead": overhead}
-        assert check_regression(current, _report(100_000.0)) == []
-
-
-def test_check_regression_service_sweep_gates():
-    from repro.bench import SERVICE_MIN_DEDUPE
-
-    baseline = _report(100_000.0)
-    current = _report(100_000.0)
-    # Bit-identity failure gates regardless of the dedupe ratio.
-    current["benchmarks"]["service_sweep"] = {
-        "bit_identical": False, "dedupe_ratio": 2.0,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "bit-identical" in problems[0]
-    # A dedupe ratio below the floor means shared points re-executed.
-    current["benchmarks"]["service_sweep"] = {
-        "bit_identical": True,
-        "dedupe_ratio": SERVICE_MIN_DEDUPE - 0.1,
-    }
-    problems = check_regression(current, baseline)
-    assert len(problems) == 1 and "dedupe ratio" in problems[0]
-    # Healthy report passes.
-    current["benchmarks"]["service_sweep"] = {
-        "bit_identical": True, "dedupe_ratio": 1.88,
-    }
-    assert check_regression(current, baseline) == []
+        assert check_regression(current, _report(4.0)) == []
 
 
 def test_check_regression_malformed_baseline():
-    problems = check_regression(_report(100_000.0), {"benchmarks": {}})
+    problems = check_regression(_report(4.0), {"benchmarks": {}})
     assert problems and "malformed report" in problems[0]
 
 
-def test_cli_bench_quick(capsys):
+def test_cli_bench_quick(quick_report, monkeypatch, capsys):
+    import repro.bench
     from repro.cli import main
 
+    monkeypatch.setattr(repro.bench, "run_all",
+                        lambda repeats, quick: quick_report)
     assert main(["bench", "--quick", "--repeats", "1", "--no-write"]) == 0
     out = capsys.readouterr().out
-    assert "engine_micro" in out and "events/s" in out
+    for name in ("grid_sweep", "trace_overhead", "streaming_overhead",
+                 "segment_overhead"):
+        assert name in out
+    assert "bit-identity ok" in out
     assert "wrote" not in out

@@ -12,11 +12,11 @@ disk.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 
 import pytest
 
+from repro.bench import cold_values
 from repro.channel.calibration import (
     DEFAULT_CALIBRATION_SAMPLES,
     PAPER_CALIBRATION_SAMPLES,
@@ -67,10 +67,8 @@ def values_digest(values) -> str:
 
 
 @pytest.fixture
-def cold_process(monkeypatch):
-    """Fresh warm-pool/memo state, optimizations enabled."""
-    monkeypatch.delenv("REPRO_WARM_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_CALIBRATION_MEMO", raising=False)
+def cold_process():
+    """Fresh warm-pool/memo state."""
     clear_warm_state()
     yield
     clear_warm_state()
@@ -135,15 +133,11 @@ def test_chunked_pool_matches_serial_cheap():
 # -- bit-identity across execution modes -------------------------------
 
 
-def test_grid_bit_identical_serial_pool_chunked(cold_process, monkeypatch):
-    """The tentpole property: every mode reproduces the PR 3 path."""
+def test_grid_bit_identical_serial_pool_chunked(cold_process):
+    """Every mode reproduces the cold path: a machine build and a cold
+    calibration per point."""
     spec = channel_spec()
-    # reference: optimizations off, serial — the pre-PR4 execution path
-    monkeypatch.setenv("REPRO_WARM_WORKERS", "0")
-    monkeypatch.setenv("REPRO_CALIBRATION_MEMO", "0")
-    reference = values_digest(Runner(jobs=1).run(spec).values)
-    monkeypatch.delenv("REPRO_WARM_WORKERS")
-    monkeypatch.delenv("REPRO_CALIBRATION_MEMO")
+    reference = values_digest(cold_values(spec))
 
     clear_warm_state()
     warm_serial = values_digest(Runner(jobs=1).run(spec).values)

@@ -252,6 +252,43 @@ def test_burst_into_unmapped_page_faults(kernel_env):
     assert machine.stats.counter("machine.load.dram") == 2
 
 
+def test_write_burst_onto_readonly_page_faults(kernel_env):
+    """Burst stores get the same write check as a plain store."""
+    machine, sim, kernel = kernel_env
+    process = kernel.create_process("p")
+    va = process.mmap(1, writable=False)
+
+    def program(cpu):
+        yield from cpu.burst(va, count=4, stride=64, write_ratio=1.0)
+
+    with pytest.raises(ProtectionFaultError):
+        run_program(kernel, sim, process, program)
+    assert machine.stats.counter("machine.store.rfo") == 0
+
+
+def test_write_burst_onto_ksm_page_breaks_cow(kernel_env):
+    """A write burst onto a KSM-merged page unmerges it once and stores
+    to the new private frame, whose contents it updates."""
+    machine, sim, kernel = kernel_env
+    a = kernel.create_process("a")
+    b = kernel.create_process("b")
+    va_a, va_b = kernel.setup_ksm_shared_page(a, b)
+    shared_pa = a.translate(va_a)
+    original = b.read_bytes(va_b, PAGE_SIZE)
+
+    def program(cpu):
+        yield from cpu.burst(va_a, count=4, stride=64, write_ratio=1.0)
+
+    run_program(kernel, sim, a, program)
+    new_pa = a.translate(va_a)
+    assert new_pa != shared_pa
+    assert b.translate(va_b) == shared_pa
+    assert kernel.stats.counter("kernel.cow_faults") == 1
+    assert _private_lines(machine, 0) == {new_pa + i * 64 for i in range(4)}
+    assert b.read_bytes(va_b, PAGE_SIZE) == original
+    assert a.read_bytes(va_a, 8) == (1).to_bytes(8, "little")
+
+
 def test_kernel_thread_uses_physical_addresses(kernel_env):
     machine, sim, kernel = kernel_env
     results = []

@@ -192,9 +192,8 @@ def test_lanes_off_by_default():
 def test_kill_switch_wins_everywhere(monkeypatch, tmp_path):
     """No environment knob turns the shortcut off or changes a result.
 
-    Tracing, cold machines, no calibration memo and segmented execution
-    each leave the transmission and its L1 hit count
-    exactly as the default run has them.
+    Tracing and segmented execution each leave the transmission and its
+    L1 hit count exactly as the default run has them.
     """
     kwargs = dict(spec="mesi-es", seed=7, calibration_samples=120)
     for var in list(os.environ):
@@ -206,8 +205,6 @@ def test_kill_switch_wins_everywhere(monkeypatch, tmp_path):
     assert l1_hits(baseline) > 0
     for var, value in (
         ("REPRO_TRACE", "1"),
-        ("REPRO_WARM_WORKERS", "0"),
-        ("REPRO_CALIBRATION_MEMO", "0"),
         ("REPRO_SEGMENT_CYCLES", "25000"),
     ):
         with monkeypatch.context() as mp:
@@ -343,10 +340,9 @@ def test_simulation_fault_plan_bypasses_lanes():
 # -- grouping: machine pool, cache keys, chunks ---------------------------
 
 
-def test_fingerprint_groups_vectorizing_params_only(monkeypatch):
+def test_fingerprint_groups_vectorizing_params_only():
     """The warm-machine pool groups points by structural parameters:
     seeds and payloads share one machine, another cell gets its own."""
-    monkeypatch.delenv("REPRO_WARM_WORKERS", raising=False)
     clear_warm_state()
     for seed, bits in ((1, [1, 0, 1]), (9, [0, 1, 1, 0])):
         execute_point(spec="mesi-es", seed=seed, payload=bits,

@@ -23,6 +23,7 @@ import hashlib
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.kernel.syscalls import Kernel
 from repro.mem.hierarchy import Machine, MachineConfig
 from repro.mem.physical import PAGE_SIZE
@@ -44,15 +45,12 @@ CONFIGS = {
     "snoop_mesif": {"protocol": "mesif"},
     "snoop_moesi": {"protocol": "moesi"},
     "directory_mesi": {"coherence": "directory", "protocol": "mesi"},
-    "directory_mesif": {"coherence": "directory", "protocol": "mesif"},
     "directory_moesi": {"coherence": "directory", "protocol": "moesi"},
     "snoop_noninclusive": {"inclusive": False},
     "snoop_home_agent": {"home_agent": True},
     "snoop_llc_direct_e": {"llc_direct_e_response": True},
 }
 
-#: The directory backend consults the policy only for MOESI's O state,
-#: so its MESI and MESIF streams are identical by design.
 GOLDEN = {
     "snoop_mesi":
         "5f8af70694fcbe116f5f1d93c01a8ddaed7446a07863782db1c93debcd93b70a",
@@ -61,8 +59,6 @@ GOLDEN = {
     "snoop_moesi":
         "83a86e91ab02a273fb3e4e6c0782e55ff5fc6fbc838fa81ff9fc85eb8c2491d7",
     "directory_mesi":
-        "729cb14a929a2f14049fd078a5cf9c747af4a8e7c1fd2fe77ea64d35b6300f81",
-    "directory_mesif":
         "729cb14a929a2f14049fd078a5cf9c747af4a8e7c1fd2fe77ea64d35b6300f81",
     "directory_moesi":
         "f362f0029e93d613e72ab1993f74c2d66399f5c86ab7a73b370e533b21174e48",
@@ -181,3 +177,15 @@ def test_stream_exercises_every_op_and_path():
     assert kinds == {"load", "store", "flush", "burst", "delay"}
     paths = {entry[4] for entry in log if entry[1] == "load"}
     assert len(paths) >= 5, paths
+
+
+def test_directory_mesif_is_rejected():
+    """The directory backend has no F state, so MESIF fails loudly
+    instead of running as MESI (its stream digest equalled MESI's)."""
+    from repro.channel.session import resolve_spec
+
+    with pytest.raises(ConfigError, match="no F state"):
+        MachineConfig(**SMALL, coherence="directory", protocol="mesif")
+    # The uniform --protocol override cannot build it either.
+    with pytest.raises(ConfigError, match="no F state"):
+        resolve_spec(scenario="dir-es", protocol="mesif")

@@ -6,7 +6,8 @@ return the value of the most recent store per line — checked against a
 flat reference memory.
 
 (b) runs on every backend: snoop (inclusive and not) and the home-node
-directory, under each protocol.  (a) runs on the inclusive snoop
+directory, under each protocol it accepts (MESI and MOESI; MESIF is
+rejected, see ``tests/test_mem_golden_stream.py``).  (a) runs on the inclusive snoop
 machines only: :func:`check_machine` states the snoop-mode invariants,
 and the directory backend has no invariant set of its own yet.
 """
@@ -108,7 +109,6 @@ def test_final_values_readable_from_any_core(ops, data):
 #: snoop-inclusive invariant check.
 VALUE_BACKENDS = {
     "directory_mesi": {"protocol": "mesi", "coherence": "directory"},
-    "directory_mesif": {"protocol": "mesif", "coherence": "directory"},
     "directory_moesi": {"protocol": "moesi", "coherence": "directory"},
     "snoop_noninclusive": {"protocol": "mesi", "inclusive": False},
 }
